@@ -7,12 +7,9 @@
 //! paper spends optimization power only on traces worth it, and
 //! Coppieters et al. (PAPERS.md) show "worth it" is largely predictable
 //! from loop structure and instruction mix before a single instruction
-//! runs. The outputs feed three consumers:
+//! runs. The outputs feed two consumers:
 //!
 //! - `parrot analyze` emits a deterministic per-app JSON report,
-//! - the trace cache consumes [`ProgramAnalysis::eviction_hints`] for
-//!   loop-aware eviction (protect deep-loop traces, evict straight-line
-//!   glue first),
 //! - `parrot lint-traces` consumes [`ProgramAnalysis::lint_trace`] for
 //!   structural trace lints.
 //!
@@ -306,26 +303,6 @@ impl ProgramAnalysis {
             }
         }
         c
-    }
-
-    /// Loop-depth eviction hints as merged, sorted, non-overlapping pc
-    /// regions `(start, end_exclusive, depth)`; only regions with
-    /// depth ≥ 1 are emitted. This is the compact form the trace cache
-    /// stores (binary search per lookup, no per-pc table).
-    #[must_use]
-    pub fn eviction_hints(&self) -> Vec<(u64, u64, u8)> {
-        let mut out: Vec<(u64, u64, u8)> = Vec::new();
-        for &(start, end, b) in &self.pc_ranges {
-            let depth = u8::try_from(self.block_depth[b as usize].min(255)).unwrap_or(u8::MAX);
-            if depth == 0 {
-                continue;
-            }
-            match out.last_mut() {
-                Some((_, e, d)) if *e == start && *d == depth => *e = end,
-                _ => out.push((start, end, depth)),
-            }
-        }
-        out
     }
 
     /// Structural lints for one constructed trace: `start_pc` is the

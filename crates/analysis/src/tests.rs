@@ -248,30 +248,6 @@ fn malformed_tables_produce_structured_errors() {
 }
 
 #[test]
-fn eviction_hints_cover_exactly_the_loop_blocks() {
-    let p = prog(
-        vec![
-            Terminator::FallThrough { next: 1 },
-            Terminator::CondBranch {
-                taken: 1,
-                fall: 2,
-                behavior: 0,
-            },
-            Terminator::Return,
-        ],
-        one_func(3),
-        vec![loop_behavior(8.0)],
-    );
-    let pa = analyze(&p).unwrap();
-    let hints = pa.eviction_hints();
-    assert_eq!(hints.len(), 1);
-    let (start, end, depth) = hints[0];
-    assert_eq!(start, p.block_pc(1));
-    assert_eq!(depth, 1);
-    assert!(p.block_pc(2) >= end, "hint must not spill past the loop");
-}
-
-#[test]
 fn lint_trace_flags_uncloseable_back_edges_and_weak_heads() {
     let p = prog(
         vec![

@@ -141,11 +141,7 @@ fn main() {
     for (sets, ways) in [(16u32, 4u32), (32, 4), (64, 4), (128, 4), (256, 4)] {
         let mut cfg = Model::TON.config();
         cfg.name = format!("TON[tc={}]", sets * ways);
-        cfg.trace.as_mut().expect("trace").tcache = TraceCacheConfig {
-            sets,
-            ways,
-            loop_aware: false,
-        };
+        cfg.trace.as_mut().expect("trace").tcache = TraceCacheConfig { sets, ways };
         let r = bench.run(cfg);
         println!("{:<10}{:>8.3}{:>9.1}%", sets * ways, r.0, r.2 * 100.0);
     }

@@ -8,6 +8,7 @@
 //! $ parrot compare N TON gcc              # side-by-side with deltas
 //! $ parrot sweep gcc                      # all models on one application
 //! $ parrot sweep gcc --json               # same, as one JSON document
+//! $ parrot fig 4.1                        # one paper figure, as markdown
 //! $ parrot analyze --all                  # whole-program CFG/loop analysis
 //! $ parrot analyze gcc --json             # one app's full analysis report
 //! $ parrot lint-traces --all              # uop-IR lint + validation gate
@@ -36,7 +37,7 @@
 //! carries its own trailing newline — so stdout is byte-identical to
 //! the corresponding `/v1/results/:fingerprint` body.
 
-use parrot_bench::cli;
+use parrot_bench::{cli, figures};
 use parrot_core::{FaultPlan, Model, SimReport, SimRequest};
 use parrot_energy::metrics::cmpw_relative;
 use parrot_workloads::{all_apps, app_by_name, AppProfile, Workload};
@@ -64,6 +65,7 @@ fn main() {
         "run" => run(&p),
         "compare" => compare(&p),
         "sweep" => sweep(&p),
+        "fig" => fig(&p),
         "analyze" => analyze(&p),
         "lint-traces" => lint_traces(&p),
         "soak" => soak(&p),
@@ -173,6 +175,20 @@ fn help(p: &cli::Parsed) -> i32 {
             }
         },
     }
+}
+
+/// Print one entry of the figure table, exactly as `reproduce` writes it
+/// into EXPERIMENTS.md. The id is checked before the sweep is loaded.
+fn fig(p: &cli::Parsed) -> i32 {
+    let Some(f) = p.positionals.first().and_then(|id| figures::figure(id)) else {
+        let given = p.positionals.first().map_or("no figure id".into(), |id| {
+            format!("unknown figure id '{id}'")
+        });
+        eprintln!("fig: {given}; valid ids: {}", figures::ids());
+        return 2;
+    };
+    print!("{}", f.markdown(&parrot_bench::ResultSet::load_or_run()));
+    0
 }
 
 fn print_human(r: &SimReport) {

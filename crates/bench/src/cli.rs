@@ -277,6 +277,12 @@ pub const COMMANDS: &[CommandSpec] = &[
         flags: &[FLAG_INSTS, FLAG_JSON],
     },
     CommandSpec {
+        name: "fig",
+        positional: "<ID>",
+        summary: "one paper figure or table as markdown, from the cached sweep",
+        flags: &[],
+    },
+    CommandSpec {
         name: "analyze",
         positional: "<APP>",
         summary: "whole-program CFG/loop analysis",
@@ -453,7 +459,7 @@ pub struct Parsed {
 impl Parsed {
     /// Was this boolean switch given?
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| *s == name)
+        self.switches.contains(&name)
     }
 
     /// The raw value of a value-taking flag, if given.

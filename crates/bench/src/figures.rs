@@ -1,0 +1,613 @@
+//! Every paper figure and table the sweep reproduces, as one ordered table.
+//!
+//! [`FIGURES`] is the single source of the evaluation's markdown: each
+//! entry pairs an id with a title carrying the paper reference and a
+//! renderer over a [`ResultSet`]. `reproduce` writes EXPERIMENTS.md by
+//! rendering every entry in order between its artifact preamble and the
+//! calibration notes ([`experiments_markdown`]); `parrot fig <id>` prints
+//! one entry.
+//!
+//! ```no_run
+//! use parrot_bench::figures::figure;
+//! use parrot_bench::ResultSet;
+//!
+//! let set = ResultSet::load_or_run();
+//! print!("{}", figure("4.8").expect("registered id").markdown(&set));
+//! ```
+
+use crate::{groups, pct, ResultSet};
+use parrot_core::{Model, SimReport};
+use parrot_energy::metrics::{geo_mean, vf};
+use parrot_workloads::{all_apps, killer_apps, Suite};
+
+/// One reproducible section of EXPERIMENTS.md.
+pub struct Figure {
+    /// Short id for `parrot fig <id>`.
+    pub id: &'static str,
+    /// Section heading, carrying the paper reference.
+    pub title: &'static str,
+    /// Renders the section body (everything below the heading).
+    render: fn(&ResultSet) -> String,
+}
+
+impl Figure {
+    /// The whole section: `## title`, a blank line, then the body, which
+    /// ends with a blank line.
+    pub fn markdown(&self, set: &ResultSet) -> String {
+        format!("## {}\n\n{}", self.title, (self.render)(set))
+    }
+}
+
+/// Every figure and table, in EXPERIMENTS.md order.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        id: "tables",
+        title: "Tables 3.1/3.2 — configuration space and microarchitectural settings (paper §3)",
+        render: tables,
+    },
+    Figure {
+        id: "headline",
+        title: "Headline comparisons (§1, §4.1)",
+        render: headline,
+    },
+    Figure {
+        id: "vf",
+        title: "V/F projection — energy at matched performance (the voltage/frequency-scaling argument behind CMPW)",
+        render: vf_projection,
+    },
+    Figure {
+        id: "4.1",
+        title: "Fig 4.1 — IPC improvement over same-width baseline (paper: TN +2%, TW +7%, TON +17%, TOW +25%)",
+        render: fig4_1,
+    },
+    Figure {
+        id: "4.2",
+        title: "Fig 4.2 — energy increase over same-width baseline (paper: TON +3% over N; all W extensions save energy, TOW −18%)",
+        render: |set| {
+            suite_table(&TRACE_MODELS, |s, m| {
+                pct(set.suite_ratio(s, m, m.same_width_baseline(), energy))
+            })
+        },
+    },
+    Figure {
+        id: "4.3",
+        title: "Fig 4.3 — CMPW improvement over same-width baseline (paper: TON +32%, TOW +92%)",
+        render: |set| {
+            suite_table(&TRACE_MODELS, |s, m| {
+                pct(set.suite_cmpw(s, m, m.same_width_baseline()))
+            })
+        },
+    },
+    Figure {
+        id: "4.4",
+        title: "Fig 4.4 — IPC relative to N (paper: W ≈ +15%, TON ≳ W, TOW ≈ +45%)",
+        render: |set| {
+            suite_table(&ALL_BUT_N, |s, m| pct(set.suite_ratio(s, m, Model::N, ipc)))
+        },
+    },
+    Figure {
+        id: "4.5",
+        title: "Fig 4.5 — energy relative to N (paper: W +70%, TON +3%, TOW +39%)",
+        render: |set| {
+            suite_table(&ALL_BUT_N, |s, m| {
+                pct(set.suite_ratio(s, m, Model::N, energy))
+            })
+        },
+    },
+    Figure {
+        id: "4.6",
+        title: "Fig 4.6 — CMPW relative to N (paper: TOW +51%)",
+        render: |set| suite_table(&ALL_BUT_N, |s, m| pct(set.suite_cmpw(s, m, Model::N))),
+    },
+    Figure {
+        id: "4.7",
+        title: "Fig 4.7 — misprediction rates (paper shape: trace < N branch < TON cold branch)",
+        render: fig4_7,
+    },
+    Figure {
+        id: "4.8",
+        title: "Fig 4.8 — coverage (paper: SpecFP ≈ 90%, SpecInt 60–70%)",
+        render: fig4_8,
+    },
+    Figure {
+        id: "4.9",
+        title: "Fig 4.9 — optimizer impact on TOW (paper: uop −19%, dependency path −8%, SpecInt relatively higher dep reduction)",
+        render: fig4_9,
+    },
+    Figure {
+        id: "validation",
+        title: "Translation validation on TOW (every optimized trace statically verified; demotions kept unoptimized)",
+        render: validation,
+    },
+    Figure {
+        id: "4.10",
+        title: "Fig 4.10 — executions per optimized trace (paper: SpecFP highest; reuse ≫ blazing threshold)",
+        render: fig4_10,
+    },
+    Figure {
+        id: "4.11",
+        title: "Fig 4.11 — energy breakdown (paper shape: front-end share shrinks N → TON → TOS; trace manipulation ≈ 10%)",
+        render: fig4_11,
+    },
+    Figure {
+        id: "xval",
+        title: "Static reuse prediction vs observed trace selection",
+        render: xval,
+    },
+];
+
+/// The entry with this id.
+pub fn figure(id: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.id == id)
+}
+
+/// Every id in table order, space-separated (for usage messages).
+pub fn ids() -> String {
+    FIGURES.iter().map(|f| f.id).collect::<Vec<_>>().join(" ")
+}
+
+/// The models of the same-width figures (4.1–4.3).
+const TRACE_MODELS: [Model; 4] = [Model::TN, Model::TON, Model::TW, Model::TOW];
+/// The models of the relative-to-N figures (4.4–4.6).
+const ALL_BUT_N: [Model; 6] = [
+    Model::W,
+    Model::TN,
+    Model::TW,
+    Model::TON,
+    Model::TOW,
+    Model::TOS,
+];
+
+fn ipc(r: &SimReport) -> f64 {
+    r.ipc()
+}
+
+fn energy(r: &SimReport) -> f64 {
+    r.energy
+}
+
+/// The per-suite renderer shared by Figs 4.1–4.6: one row per model, one
+/// column per suite plus the overall mean, `cell(suite, model)` in each.
+fn suite_table(models: &[Model], cell: impl Fn(Option<Suite>, Model) -> String) -> String {
+    let groups = groups();
+    let mut md = format!(
+        "| model |{}\n|---|{}\n",
+        groups
+            .iter()
+            .map(|(label, _)| format!(" {label} |"))
+            .collect::<String>(),
+        "---|".repeat(groups.len())
+    );
+    for m in models {
+        md += &format!("| {} |", m.name());
+        for (_, suite) in &groups {
+            md += &format!(" {} |", cell(*suite, *m));
+        }
+        md.push('\n');
+    }
+    md.push('\n');
+    md
+}
+
+/// A table with one row per suite plus the mean: a `group` column, then
+/// `cols`, filled by `row(suite)` (cells joined by ` | `).
+fn group_table(cols: &[&str], row: impl Fn(Option<Suite>) -> String) -> String {
+    let mut md = format!(
+        "| group | {} |\n|---|{}\n",
+        cols.join(" | "),
+        "---|".repeat(cols.len())
+    );
+    for (label, suite) in groups() {
+        md += &format!("| {label} | {} |\n", row(suite));
+    }
+    md.push('\n');
+    md
+}
+
+fn tables(_: &ResultSet) -> String {
+    let mut md = String::from(
+        "### Table 3.1 — configuration space\n\n\
+         | | narrow (4w) | wide (8w) |\n\
+         |---|---|---|\n\
+         | base | N | W |\n\
+         | +traces | TN | TW |\n\
+         | +opt | TON | TOW |\n\
+         | split | TOS cold core | TOS hot core |\n\n\
+         ### Table 3.2 — microarchitectural settings\n\n\
+         | model | fetch | issue | commit | rob | iq | bpred | tcache | tpred | optimize | area |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|\n",
+    );
+    let dash = || "-".to_string();
+    for m in Model::ALL {
+        let c = m.config();
+        let t = c.trace.as_ref();
+        md += &format!(
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2} |\n",
+            m.name(),
+            c.core.fetch_width,
+            c.core.issue_width,
+            c.core.commit_width,
+            c.core.rob_size,
+            c.core.iq_size,
+            c.bpred.entries,
+            t.map_or_else(dash, |t| t.tcache.frames().to_string()),
+            t.map_or_else(dash, |t| t.tpred.entries.to_string()),
+            t.and_then(|t| t.optimizer)
+                .map_or_else(dash, |_| "full".to_string()),
+            c.energy.core_area,
+        );
+        if let Some(hc) = c.hot_core {
+            md += &format!(
+                "| {} hot core | {} | {} | {} | {} | {} | | | | | |\n",
+                m.name(),
+                hc.fetch_width,
+                hc.issue_width,
+                hc.commit_width,
+                hc.rob_size,
+                hc.iq_size
+            );
+        }
+    }
+    md.push_str(
+        "\nShared by every model: L1I 32K/4w 2cy, L1D 32K/8w 2cy, L2 1M/8w 10cy,\n\
+         mem 150cy; filters: hot 12, blazing 48; frames 64 uops; optimizer 100cy\n\
+         occupancy.\n\n",
+    );
+    md
+}
+
+fn headline(set: &ResultSet) -> String {
+    let ratio = |m, b, f: fn(&SimReport) -> f64| pct(set.suite_ratio(None, m, b, f));
+    let cmpw = |m, b| pct(set.suite_cmpw(None, m, b));
+    let rows = [
+        ("W vs N — IPC", "~ +15%", ratio(Model::W, Model::N, ipc)),
+        ("W vs N — energy", "+70%", ratio(Model::W, Model::N, energy)),
+        ("TON vs N — IPC", "+17%", ratio(Model::TON, Model::N, ipc)),
+        (
+            "TON vs N — energy",
+            "+3%",
+            ratio(Model::TON, Model::N, energy),
+        ),
+        ("TON vs N — CMPW", "+32%", cmpw(Model::TON, Model::N)),
+        (
+            "TON vs W — IPC",
+            "slightly better",
+            ratio(Model::TON, Model::W, ipc),
+        ),
+        (
+            "TON vs W — energy",
+            "−39%",
+            ratio(Model::TON, Model::W, energy),
+        ),
+        ("TON vs W — CMPW", "+67%", cmpw(Model::TON, Model::W)),
+        ("TOW vs W — IPC", "+25%", ratio(Model::TOW, Model::W, ipc)),
+        (
+            "TOW vs W — energy",
+            "−18%",
+            ratio(Model::TOW, Model::W, energy),
+        ),
+        ("TOW vs W — CMPW", "+92%", cmpw(Model::TOW, Model::W)),
+        ("TOW vs N — IPC", "+45%", ratio(Model::TOW, Model::N, ipc)),
+        ("TOW vs N — CMPW", "+51%", cmpw(Model::TOW, Model::N)),
+    ];
+    let mut md = String::from("| comparison | paper | measured |\n|---|---|---|\n");
+    for (label, paper, ours) in rows {
+        md += &format!("| {label} | {paper} | {ours} |\n");
+    }
+    md.push('\n');
+    md
+}
+
+fn vf_projection(set: &ResultSet) -> String {
+    // Scale `run` by voltage and frequency to `base`'s performance and
+    // report its projected energy relative to `base`, geomean over apps.
+    let iso = |base: Model, run: Model| {
+        let ratios: Vec<f64> = all_apps()
+            .iter()
+            .filter_map(|a| {
+                let b = set.get(base, a.name).summary();
+                let r = set.get(run, a.name).summary();
+                vf::iso_performance_energy(&b, &r).map(|e| e / b.energy)
+            })
+            .collect();
+        pct(geo_mean(&ratios))
+    };
+    format!(
+        "| projection | energy |\n\
+         |---|---|\n\
+         | TOW scaled down to N-level performance | {} vs N |\n\
+         | TON scaled to W-level performance | {} vs W |\n\n",
+        iso(Model::N, Model::TOW),
+        iso(Model::W, Model::TON)
+    )
+}
+
+fn fig4_1(set: &ResultSet) -> String {
+    let mut md = suite_table(&TRACE_MODELS, |s, m| {
+        pct(set.suite_ratio(s, m, m.same_width_baseline(), ipc))
+    });
+    md.push_str(
+        "Killer applications (paper: flash, wupwise, perlbench show the largest gains):\n\n\
+         | app | TON vs N | TOW vs W |\n|---|---|---|\n",
+    );
+    for k in killer_apps() {
+        let ton = set.get(Model::TON, k).ipc() / set.get(Model::N, k).ipc();
+        let tow = set.get(Model::TOW, k).ipc() / set.get(Model::W, k).ipc();
+        md += &format!("| {k} | {} | {} |\n", pct(ton), pct(tow));
+    }
+    md.push('\n');
+    md
+}
+
+/// A per-run metric read from the trace report (0 when absent), floored
+/// at `1e-6` so the geometric mean stays defined.
+fn trace_metric(
+    f: impl Fn(&parrot_core::TraceReport) -> Option<f64>,
+) -> impl Fn(&SimReport) -> f64 {
+    move |r| r.trace.as_ref().and_then(&f).unwrap_or(0.0).max(1e-6)
+}
+
+fn fig4_7(set: &ResultSet) -> String {
+    group_table(&["N branch", "TON cold branch", "TON trace"], |suite| {
+        let n = set.suite_metric(suite, Model::N, |r| r.branch_mispredict_rate().max(1e-6));
+        let cold = set.suite_metric(suite, Model::TON, |r| r.branch_mispredict_rate().max(1e-6));
+        let tmr = set.suite_metric(
+            suite,
+            Model::TON,
+            trace_metric(|t| Some(t.trace_mispredict_rate())),
+        );
+        format!(
+            "{:.2}% | {:.2}% | {:.2}%",
+            n * 100.0,
+            cold * 100.0,
+            tmr * 100.0
+        )
+    })
+}
+
+fn fig4_8(set: &ResultSet) -> String {
+    group_table(&["coverage"], |suite| {
+        let cov = set.suite_metric(suite, Model::TON, trace_metric(|t| Some(t.coverage)));
+        format!("{:.1}%", cov * 100.0)
+    })
+}
+
+fn fig4_9(set: &ResultSet) -> String {
+    group_table(&["uop reduction", "dep reduction"], |suite| {
+        let u = set.suite_metric(
+            suite,
+            Model::TOW,
+            trace_metric(|t| t.opt.as_ref().map(|o| o.uop_reduction)),
+        );
+        let d = set.suite_metric(
+            suite,
+            Model::TOW,
+            trace_metric(|t| t.opt.as_ref().map(|o| o.dep_reduction)),
+        );
+        format!("{:.1}% | {:.1}%", u * 100.0, d * 100.0)
+    })
+}
+
+/// Companion to Fig 4.9: every optimized trace carries a static verdict;
+/// demotions mean the gate refused a rewrite it could not prove
+/// equivalent.
+fn validation(set: &ResultSet) -> String {
+    group_table(
+        &["traces", "validated", "demoted", "lint", "equiv"],
+        |suite| {
+            let (mut traces, mut validated, mut demoted, mut lint, mut equiv) = (0, 0, 0, 0, 0);
+            for a in all_apps()
+                .iter()
+                .filter(|a| suite.is_none_or(|s| a.suite == s))
+            {
+                if let Some(o) = set
+                    .get(Model::TOW, a.name)
+                    .trace
+                    .as_ref()
+                    .and_then(|t| t.opt.as_ref())
+                {
+                    traces += o.traces;
+                    validated += o.validated;
+                    demoted += o.demoted;
+                    lint += o.inconclusive_lint;
+                    equiv += o.inconclusive_equiv;
+                }
+            }
+            format!("{traces} | {validated} | {demoted} | {lint} | {equiv}")
+        },
+    )
+}
+
+fn fig4_10(set: &ResultSet) -> String {
+    group_table(&["mean reuse"], |suite| {
+        let reuse = set.suite_metric(suite, Model::TOW, trace_metric(|t| Some(t.mean_opt_reuse)));
+        format!("{reuse:.0}")
+    })
+}
+
+fn fig4_11(set: &ResultSet) -> String {
+    let mut md = String::new();
+    for app in ["flash", "swim", "gcc"] {
+        md += &format!("### {app}\n\n| unit | N | TON | TOS |\n|---|---|---|---|\n");
+        let runs = [Model::N, Model::TON, Model::TOS].map(|m| set.get(m, app));
+        let row = |md: &mut String, label: &str, share: &dyn Fn(&SimReport) -> f64| {
+            let s = runs.map(|r| share(r) * 100.0);
+            *md += &format!("| {label} | {:.1}% | {:.1}% | {:.1}% |\n", s[0], s[1], s[2]);
+        };
+        for (label, _) in &runs[0].energy_by_unit {
+            if runs.iter().any(|r| r.unit_share(label) * 100.0 >= 0.5) {
+                row(&mut md, label, &|r: &SimReport| r.unit_share(label));
+            }
+        }
+        let sum = |units: &'static [&'static str]| {
+            move |r: &SimReport| units.iter().map(|u| r.unit_share(u)).sum::<f64>()
+        };
+        row(
+            &mut md,
+            "**front-end total**",
+            &sum(&["fetch", "decode", "bpred"]),
+        );
+        row(
+            &mut md,
+            "**trace manipulation**",
+            &sum(&["tcache", "filters", "optimizer", "tpred"]),
+        );
+        md.push('\n');
+    }
+    md
+}
+
+/// Computed live (deterministic: fixed selector config and budget, no
+/// cycle simulation), so there is no cache to go stale.
+fn xval(_: &ResultSet) -> String {
+    format!(
+        "`parrot analyze` predicts per-head reuse from loop structure alone\n\
+         (no execution). Validation against the trace selector's observed\n\
+         per-head selection mass at {} committed instructions per app:\n\
+         *precision* = predicted-hot heads that were observed hot, *recall* =\n\
+         observed-hot heads that were predicted, *event coverage* = fraction\n\
+         of all selection events landing on predicted-hot heads. See\n\
+         DESIGN.md §17.\n\n{}\n",
+        crate::xval::XVAL_INSTS,
+        crate::xval::xval_markdown()
+    )
+}
+
+/// The artifact preamble: title, methodology, then the sections read from
+/// the committed `results/` records (sweep timings, capture/replay,
+/// sampling, soak) and the serving note.
+fn preamble(insts: u64) -> String {
+    let mut md = format!(
+        "# EXPERIMENTS — paper vs. measured\n\n\
+         Reproduction of *Power Awareness through Selective Dynamically Optimized\n\
+         Traces* (Rosner et al., ISCA 2004). All runs: {insts} committed instructions per\n\
+         (model, application); 44 synthetic stand-in applications across the paper's\n\
+         five suites; geometric means. Absolute numbers are not comparable to the\n\
+         paper (synthetic workloads, abstract energy units); every comparison below\n\
+         is therefore a *relative* measure, like the paper's own figures. See\n\
+         DESIGN.md for the substitution and calibration methodology.\n\n\
+         Regenerate with `cargo run --release -p parrot-bench --bin reproduce`.\n\n\
+         To profile or inspect a run, the bench binaries take `--profile` (wall-clock\n\
+         self/total table for the simulator itself), `--trace-out FILE` (Perfetto\n\
+         timeline in simulated cycles) and `--metrics-out FILE` (JSONL counter/histogram\n\
+         snapshots); see README.md \u{201c}Observability\u{201d}. Sweeps run on `--jobs N` worker\n\
+         threads (default: all cores) with telemetry sharded per work item and merged\n\
+         deterministically after the join.\n\n"
+    );
+    // A missing record renders as a hint saying how to produce it.
+    let or_hint = |table: Option<String>, hint: &str| table.unwrap_or_else(|| format!("{hint}\n"));
+    let sections = [
+        (
+            "Sweep wall-clock — serial vs parallel",
+            or_hint(
+                crate::sweep_timing_markdown(),
+                "No timing record yet: run `cargo run --release -p parrot-bench --bin\n\
+                 sweepbench` to measure serial vs `--jobs N` sweeps with and without\n\
+                 telemetry sinks.",
+            ),
+        ),
+        (
+            "Trace capture/replay — size and speedup",
+            or_hint(
+                crate::trace_replay_markdown(),
+                "No capture/replay record yet: run `cargo run --release -p parrot-bench\n\
+                 --bin tracebench` to capture every app into `corpus/` and measure\n\
+                 replay-vs-generate wall clock (see DESIGN.md §16).",
+            ),
+        ),
+        (
+            "Phase sampling — sampled-vs-full fidelity",
+            or_hint(
+                crate::sample::sampling_markdown(),
+                "No sampling record yet: run `cargo run --release -p parrot-bench\n\
+                 --bin parrot -- sample --all --insts 30000000` to measure the\n\
+                 sampled reconstruction of every model against the full simulation\n\
+                 (see DESIGN.md §18).",
+            ),
+        ),
+        (
+            "Serving — overload shedding (`parrot serve`)",
+            "The HTTP service (DESIGN.md §19) degrades before it rejects: past\n\
+             the shed mark, `sim`/`sweep` jobs are admitted in SimPoint-sampled\n\
+             mode (§18) and marked `\"shed\": true`; past the queue cap or a\n\
+             per-kind budget they get 429 with `Retry-After`. Shed results are\n\
+             fingerprint-salted so sampled output never poisons the\n\
+             full-fidelity cache, and the `/v1/metrics` ledger reconciles\n\
+             exactly (`serve:admitted == completed + shed + rejected + failed`).\n\
+             The overload e2e test (`crates/bench/tests/serve_e2e.rs`) and the\n\
+             CI `serve` job drive a loaded server past both thresholds and\n\
+             assert the equation on the live counters; full-fidelity results\n\
+             remain byte-identical to the equivalent CLI invocation throughout.\n"
+                .to_string(),
+        ),
+        (
+            "Fault injection — graceful degradation vs fault rate",
+            or_hint(
+                crate::soak::soak_markdown(),
+                "No soak record yet: run `cargo run --release -p parrot-bench --bin\n\
+                 parrot -- soak` to measure IPC/energy degradation under a seeded\n\
+                 fault-injection campaign (see DESIGN.md §14).",
+            ),
+        ),
+    ];
+    for (title, body) in sections {
+        md += &format!("## {title}\n\n{body}\n");
+    }
+    md
+}
+
+const CALIBRATION_GAPS: &str = "## Known calibration gaps\n\n\
+* TOW's IPC gain over W and over N undershoots the paper (≈ +19%/+37% vs.\n\
+\u{20}\u{20}+25%/+45%): the paper's machines translate dynamic uop reduction into\n\
+\u{20}\u{20}cycles almost 1:1 (purely bandwidth-bound), while our synthetic workloads\n\
+\u{20}\u{20}retain more latency-bound behaviour. All orderings and crossovers hold.\n\
+* TON's total energy lands slightly *below* N instead of +3%: our trace-side\n\
+\u{20}\u{20}overhead estimate is conservative relative to the narrow decode savings.\n\
+* TOS is modeled with drain-based core switching (the paper left split-core\n\
+\u{20}\u{20}exploration to future work); it is reported for Fig 4.11 only, as in the\n\
+\u{20}\u{20}paper.\n\n";
+
+/// The whole EXPERIMENTS.md document for `set`: the artifact preamble,
+/// every [`FIGURES`] entry in order, then the known calibration gaps.
+pub fn experiments_markdown(set: &ResultSet) -> String {
+    let mut md = preamble(set.insts);
+    for f in FIGURES {
+        md.push_str(&f.markdown(set));
+    }
+    md.push_str(CALIBRATION_GAPS);
+    md
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SweepConfig;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn figure_ids_are_unique() {
+        let ids: BTreeSet<_> = FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(ids.len(), FIGURES.len(), "duplicate figure id");
+        for f in FIGURES {
+            assert!(std::ptr::eq(figure(f.id).expect("lookup"), f));
+        }
+    }
+
+    #[test]
+    fn the_document_renders_every_entry_in_table_order() {
+        let dir = std::env::temp_dir().join(format!("parrot_figures_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let set = ResultSet::load_or_run_with(&SweepConfig::new().insts(2_000).cache_dir(&dir));
+        let doc = experiments_markdown(&set);
+        let mut at = 0;
+        for f in FIGURES {
+            let md = f.markdown(&set);
+            let found = doc[at..]
+                .find(&md)
+                .unwrap_or_else(|| panic!("entry {} missing or out of order", f.id));
+            at += found + md.len();
+        }
+        assert!(doc[at..].starts_with("## Known calibration gaps"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -4,9 +4,9 @@
 //! the study, caches results, aggregates per-suite geometric means, and
 //! formats the tables behind every figure of the paper's evaluation (§4).
 //!
-//! Figure binaries (`fig4_1` … `fig4_11`, `tables`, `headline`) read the
-//! shared result cache; `reproduce` runs everything and emits an
-//! EXPERIMENTS.md-ready report.
+//! Every figure and table is one entry of [`figures::FIGURES`], rendered
+//! from the shared result cache: `parrot fig <id>` prints one entry, and
+//! `reproduce` renders them all into EXPERIMENTS.md.
 //!
 //! ```no_run
 //! use parrot_bench::{ResultSet, SweepConfig};
@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex};
 
 pub mod cips;
 pub mod cli;
+pub mod figures;
 pub mod microbench;
 pub mod sample;
 pub mod serve_backend;
@@ -46,10 +47,10 @@ pub mod xval;
 pub const DEFAULT_INSTS: u64 = parrot_core::DEFAULT_INSTS;
 
 /// Schema version of the sweep result-cache file. Bump on any change to the
-/// cache layout or to what the fingerprint covers. (v4: the fingerprint
-/// additionally covers the loop-aware-eviction flag, and model-config Debug
-/// output gained the `loop_aware` trace-cache field.)
-pub const CACHE_VERSION: u64 = 4;
+/// cache layout or to what the fingerprint covers. (v5: the trace-cache
+/// eviction flag left the model configurations, so their `Debug` output —
+/// and with it every fingerprint — changed; the reports did not.)
+pub const CACHE_VERSION: u64 = 5;
 
 /// The instruction budget in effect ([`SweepConfig::from_env`]).
 pub fn insts_budget() -> u64 {
@@ -99,7 +100,6 @@ pub struct SweepConfig {
     faults: Option<FaultPlan>,
     cache_dir: Option<PathBuf>,
     replay_dir: Option<PathBuf>,
-    loop_aware: bool,
     sampling: Option<SamplingSpec>,
 }
 
@@ -119,7 +119,6 @@ impl SweepConfig {
             faults: None,
             cache_dir: None,
             replay_dir: None,
-            loop_aware: false,
             sampling: None,
         }
     }
@@ -166,22 +165,6 @@ impl SweepConfig {
     pub fn faults(mut self, plan: FaultPlan) -> SweepConfig {
         self.faults = Some(plan);
         self
-    }
-
-    /// Enable loop-aware trace-cache eviction for every trace model of the
-    /// sweep: victims are chosen by (static loop depth, recency) instead of
-    /// recency alone, using hints from the whole-program analysis. The flag
-    /// is folded into [`SweepConfig::fingerprint`], so enabled sweeps get
-    /// their own cache files and a disabled sweep's reports stay
-    /// byte-identical to the pre-flag harness.
-    pub fn loop_aware_eviction(mut self, on: bool) -> SweepConfig {
-        self.loop_aware = on;
-        self
-    }
-
-    /// Whether loop-aware eviction is armed.
-    pub fn loop_aware_value(&self) -> bool {
-        self.loop_aware
     }
 
     /// Run every simulation of the sweep under SimPoint-style phase
@@ -263,7 +246,6 @@ impl SweepConfig {
         let mut fields = vec![
             ("v", Value::int(parrot_core::CANONICAL_VERSION)),
             ("insts", Value::int(self.insts)),
-            ("loop_aware", Value::Bool(self.loop_aware)),
         ];
         if let Some(plan) = &self.faults {
             let kinds = FaultKind::ALL
@@ -304,11 +286,6 @@ impl SweepConfig {
             None => base,
             Some(p) => fnv1a(base, p.cache_tag().as_bytes()),
         };
-        let base = if self.loop_aware {
-            fnv1a(base, b"loop_aware_eviction;")
-        } else {
-            base
-        };
         let base = match &self.sampling {
             None => base,
             Some(spec) => fnv1a(base, spec.cache_tag().as_bytes()),
@@ -344,15 +321,7 @@ impl SweepConfig {
     }
 
     fn request(&self, model: Model) -> SimRequest {
-        let mut req = if self.loop_aware {
-            let mut cfg = model.config();
-            if let Some(t) = cfg.trace.as_mut() {
-                t.tcache.loop_aware = true;
-            }
-            SimRequest::config(cfg).insts(self.insts)
-        } else {
-            SimRequest::model(model).insts(self.insts)
-        };
+        let mut req = SimRequest::model(model).insts(self.insts);
         if let Some(p) = &self.faults {
             req = req.faults(p.clone());
         }
@@ -839,50 +808,6 @@ pub fn pct(ratio: f64) -> String {
     format!("{:+.1}%", (ratio - 1.0) * 100.0)
 }
 
-/// Print a standard figure table: rows = models, columns = suites + mean,
-/// values from `cell(group, model)`.
-pub fn print_table(
-    title: &str,
-    models: &[Model],
-    set: &ResultSet,
-    cell: impl Fn(Option<Suite>, Model) -> String,
-) {
-    let _ = set;
-    println!("## {title}");
-    print!("{:<8}", "model");
-    for (label, _) in groups() {
-        print!("{label:>12}");
-    }
-    println!();
-    for m in models {
-        print!("{:<8}", m.name());
-        for (_, suite) in groups() {
-            print!("{:>12}", cell(suite, *m));
-        }
-        println!();
-    }
-    println!();
-}
-
-/// Per-killer-app detail line used by Figs 4.1–4.3.
-pub fn print_killers(
-    set: &ResultSet,
-    models: &[Model],
-    f: impl Fn(&SimReport, &SimReport) -> String,
-) {
-    println!("killer applications:");
-    for k in parrot_workloads::killer_apps() {
-        print!("{k:<12}");
-        for m in models {
-            let base = m.same_width_baseline();
-            let s = f(set.get(*m, k), set.get(base, k));
-            print!("{:>12}", format!("{}:{s}", m.name()));
-        }
-        println!();
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -991,15 +916,6 @@ mod tests {
         let b = SweepConfig::new().faults(FaultPlan::new(2));
         assert_ne!(a.fingerprint(), SweepConfig::new().fingerprint());
         assert_ne!(a.fingerprint(), b.fingerprint());
-        // Loop-aware eviction is fingerprinted: enabled sweeps can never
-        // alias the plain-LRU cache files.
-        let la = SweepConfig::new().loop_aware_eviction(true);
-        assert!(la.loop_aware_value());
-        assert_ne!(la.fingerprint(), SweepConfig::new().fingerprint());
-        assert_ne!(
-            la.fingerprint(),
-            SweepConfig::new().faults(FaultPlan::new(1)).fingerprint()
-        );
         // Phase sampling is fingerprinted: a sampled sweep can never be
         // served a full-simulation cache file (or vice versa), and every
         // spec field lands in a distinct file.
@@ -1007,7 +923,7 @@ mod tests {
         let sa = SweepConfig::new().sampled(spec.clone());
         assert_eq!(sa.sampling_value(), Some(&spec));
         assert_ne!(sa.fingerprint(), SweepConfig::new().fingerprint());
-        assert_ne!(sa.fingerprint(), la.fingerprint());
+        assert_ne!(sa.fingerprint(), a.fingerprint());
         let sb = SweepConfig::new().sampled(SamplingSpec {
             interval: spec.interval / 2,
             ..spec.clone()

@@ -119,9 +119,7 @@ fn sim_request(spec: &JobSpec, model: Model) -> SimRequest {
 }
 
 fn sweep_config(spec: &JobSpec) -> SweepConfig {
-    SweepConfig::new()
-        .insts(insts_of(spec))
-        .loop_aware_eviction(spec.loop_aware())
+    SweepConfig::new().insts(insts_of(spec))
 }
 
 impl Executor for Backend {

@@ -250,16 +250,6 @@ impl<'w> Machine<'w> {
             .unwrap_or(cfg.core.decode_uops)
             .max(cfg.core.decode_uops) as usize;
         let mut trace = cfg.trace.map(TraceState::new);
-        if let Some(ts) = &mut trace {
-            if ts.cfg.tcache.loop_aware {
-                // Loop-aware eviction: install static loop-depth hints from
-                // the whole-program analysis. Analysis failure degrades to
-                // plain LRU (no hints) rather than failing the run.
-                if let Ok(pa) = parrot_analysis::analyze(&wl.program) {
-                    ts.tc.set_reuse_hints(pa.eviction_hints());
-                }
-            }
-        }
         if faults.is_some() {
             // Fingerprint-tag every cached frame so injected encoding
             // corruption is detectable at hot fetch. Off by default: a
@@ -326,17 +316,7 @@ impl<'w> Machine<'w> {
 
     /// Run to completion and produce the report.
     pub fn run(mut self) -> SimReport {
-        if tev::active() || metrics::active() {
-            let label = format!("{}/{}", self.label, self.wl.profile.name);
-            tev::begin_run(&label);
-            metrics::begin_run(&label);
-        }
-        let _prof = profile::scope("machine.run");
-        let cycle_cap = self.oracle.remaining() * 400 + 5_000_000;
-        while !self.done() && self.now < cycle_cap {
-            self.tick();
-        }
-        debug_assert!(self.done(), "simulation hit the cycle cap — livelock?");
+        self.run_loop(None);
         self.finish()
     }
 
@@ -364,6 +344,31 @@ impl<'w> Machine<'w> {
     /// contribution of the window past its warmup prefix.
     pub(crate) fn run_segment(mut self, a: u64, b: u64) -> (Option<SimReport>, SimReport) {
         debug_assert!(a < b, "segment start must precede its end");
+        let mut first = None;
+        let stopped = self.run_loop(Some(&mut |m: &Machine| {
+            let insts = m.committed_insts();
+            if first.is_none() && a > 0 && insts >= a {
+                first = Some(m.snapshot_report());
+            }
+            insts >= b
+        }));
+        if stopped {
+            (first, self.snapshot_report())
+        } else {
+            (first, self.finish())
+        }
+    }
+
+    /// The one cycle loop behind [`Machine::run`] and
+    /// [`Machine::run_segment`]: tick until the machine drains or `stop`
+    /// (checked after every tick) returns true. Returns whether `stop`
+    /// ended the run.
+    ///
+    /// # Panics
+    /// Panics when the run reaches the cycle cap (`remaining·400 + 5M`
+    /// cycles) without draining: a livelocked machine must never hand a
+    /// truncated report to a sweep cache, a served job or a table.
+    fn run_loop(&mut self, mut stop: Option<&mut dyn FnMut(&Machine) -> bool>) -> bool {
         if tev::active() || metrics::active() {
             let label = format!("{}/{}", self.label, self.wl.profile.name);
             tev::begin_run(&label);
@@ -371,19 +376,27 @@ impl<'w> Machine<'w> {
         }
         let _prof = profile::scope("machine.run");
         let cycle_cap = self.oracle.remaining() * 400 + 5_000_000;
-        let mut first = None;
         while !self.done() && self.now < cycle_cap {
             self.tick();
-            let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
-            if first.is_none() && a > 0 && insts >= a {
-                first = Some(self.snapshot_report());
-            }
-            if insts >= b {
-                return (first, self.snapshot_report());
+            if stop.as_mut().is_some_and(|f| f(self)) {
+                return true;
             }
         }
-        debug_assert!(self.done(), "simulation hit the cycle cap — livelock?");
-        (first, self.finish())
+        assert!(
+            self.done(),
+            "{}/{}: simulation hit the cycle cap at cycle {} with {} instructions \
+             committed — livelock?",
+            self.label,
+            self.wl.profile.name,
+            self.now,
+            self.committed_insts()
+        );
+        false
+    }
+
+    /// Instructions committed so far, summed over the cores.
+    fn committed_insts(&self) -> u64 {
+        self.cores.iter().map(|c| c.stats().committed_insts).sum()
     }
 
     fn tick(&mut self) {
@@ -412,7 +425,7 @@ impl<'w> Machine<'w> {
         self.fetch();
         self.now += 1;
         if metrics::active() {
-            let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
+            let insts = self.committed_insts();
             if metrics::due(insts) {
                 let _stage = profile::stage(profile::Stage::Accounting);
                 self.publish_metrics(insts);
@@ -978,7 +991,7 @@ impl<'w> Machine<'w> {
 
     fn finish(mut self) -> SimReport {
         self.acct.finish_static(&self.cold_model, self.now);
-        let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
+        let insts = self.committed_insts();
         if tev::active() {
             // Close the open fetch-phase span at end of simulation.
             let name = if self.phase_hot { "hot" } else { "cold" };
@@ -1005,7 +1018,7 @@ impl<'w> Machine<'w> {
     /// live account at end of run, or on a clone for a mid-run snapshot
     /// that must not disturb the machine).
     fn build_report(&self, acct: &EnergyAccount) -> SimReport {
-        let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
+        let insts = self.committed_insts();
         let uops: u64 = self.cores.iter().map(|c| c.stats().committed_uops).sum();
         let fe = self.frontend.stats();
         let trace = self.trace.as_ref().map(|ts| {
@@ -1085,5 +1098,20 @@ impl<'w> Machine<'w> {
             faults: self.faults.as_ref().map(|inj| inj.report()),
             trace,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parrot_workloads::app_by_name;
+
+    #[test]
+    #[should_panic(expected = "TON/gcc: simulation hit the cycle cap at cycle")]
+    fn hitting_the_cycle_cap_panics_instead_of_truncating() {
+        let wl = Workload::build(&app_by_name("gcc").expect("registered app"));
+        let mut m = Machine::new(Model::TON, &wl, 1_000);
+        m.now = m.oracle.remaining() * 400 + 5_000_000;
+        let _ = m.run();
     }
 }

@@ -319,10 +319,8 @@ fn warm_pass(
                         bpred.btb_update(d.pc, d.next_pc);
                     }
                 }
-                InstKind::Jump => {
-                    if bpred.btb_lookup(d.pc) != Some(d.next_pc) {
-                        bpred.btb_update(d.pc, d.next_pc);
-                    }
+                InstKind::Jump if bpred.btb_lookup(d.pc) != Some(d.next_pc) => {
+                    bpred.btb_update(d.pc, d.next_pc);
                 }
                 InstKind::Call => {
                     bpred.ras_push(d.pc + u64::from(d.len));

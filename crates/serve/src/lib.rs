@@ -45,9 +45,11 @@ pub use wire::{JobKind, JobSpec, WireError};
 use jobs::{job_name, parse_job_name, JobStatus, JobTable, ResultCache};
 use parrot_telemetry::json::Value;
 use parrot_telemetry::shard::{install_progress, take_progress, Progress};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -243,7 +245,13 @@ fn worker_loop<E: Executor>(state: Arc<State<E>>) {
         };
         state.table.update(id, |j| j.status = JobStatus::Running);
         install_progress(Arc::clone(&job.progress));
-        let result = state.exec.execute(&job.spec, job.shed, &job.progress);
+        // A panicking job (a failed invariant such as the simulator's cycle
+        // cap) fails that job only: the worker survives and the ledger
+        // still reconciles.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            state.exec.execute(&job.spec, job.shed, &job.progress)
+        }))
+        .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
         let _ = take_progress();
         match result {
             Ok(v) => {
@@ -264,6 +272,16 @@ fn worker_loop<E: Executor>(state: Arc<State<E>>) {
             }
         }
     }
+}
+
+/// The message a panic carried, as the job's error.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("job panicked: {msg}")
 }
 
 fn handle_conn<E: Executor>(state: &State<E>, conn: &mut TcpStream) {
@@ -495,6 +513,9 @@ mod tests {
             shed: bool,
             progress: &Arc<Progress>,
         ) -> Result<Value, String> {
+            if spec.app() == Some("panic-app") {
+                panic!("stub executor blew up");
+            }
             progress.set_total(1);
             thread::sleep(self.delay);
             progress.tick();
@@ -586,6 +607,46 @@ mod tests {
         assert_eq!(hits, 2);
         let (a, c, s_, r, f) = h.counters().read();
         assert_eq!((a, c, s_, r, f), (2, 2, 0, 0, 0));
+        assert!(h.counters().reconciles());
+        h.shutdown();
+    }
+
+    /// Poll a job until it leaves the queue; returns its status document.
+    fn await_job(addr: SocketAddr, id: &str) -> Value {
+        for _ in 0..200 {
+            let (_, _, b) = get(addr, &format!("/v1/jobs/{id}"));
+            let j = parrot_telemetry::json::parse(&b).unwrap();
+            if matches!(j.get("status").as_str(), Some("done" | "failed")) {
+                return j;
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+        panic!("job {id} never finished");
+    }
+
+    fn job_id(body: &str) -> String {
+        let doc = parrot_telemetry::json::parse(body).unwrap();
+        doc.get("job").as_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_the_worker_survives() {
+        let cfg = ServerConfig {
+            workers: 1,
+            ..test_config()
+        };
+        let h = serve(cfg, Stub { delay: Duration::ZERO }).unwrap();
+        let (s, _, b) = post_job(h.addr(), r#"{"v":1,"kind":"sim","model":"TOW","app":"panic-app"}"#);
+        assert_eq!(s, 202, "{b}");
+        let j = await_job(h.addr(), &job_id(&b));
+        assert_eq!(j.get("status").as_str(), Some("failed"), "{j:?}");
+        assert!(j.to_json().contains("stub executor blew up"), "{j:?}");
+        // The lone worker lived on: the next job completes.
+        let (s, _, b) = post_job(h.addr(), r#"{"v":1,"kind":"sim","model":"TOW","app":"gcc"}"#);
+        assert_eq!(s, 202, "{b}");
+        let j = await_job(h.addr(), &job_id(&b));
+        assert_eq!(j.get("status").as_str(), Some("done"), "{j:?}");
+        assert_eq!(h.counters().read(), (2, 1, 0, 0, 1));
         assert!(h.counters().reconciles());
         h.shutdown();
     }

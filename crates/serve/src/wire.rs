@@ -143,7 +143,7 @@ fn kind_fields(kind: JobKind) -> &'static [(&'static str, bool)] {
         ],
         // `app` restricts the sweep to one application (all models);
         // absent, the job is the full (model × app) sweep.
-        JobKind::Sweep => &[("app", false), ("loop_aware", false)],
+        JobKind::Sweep => &[("app", false)],
         JobKind::Soak => &[],
         JobKind::ReplayVerify => &[("model", true), ("app", true)],
         JobKind::Analyze => &[("app", true)],
@@ -256,11 +256,6 @@ impl JobSpec {
                 ));
             }
         }
-        if !matches!(spec.body.get("loop_aware"), Value::Null)
-            && !matches!(spec.body.get("loop_aware"), Value::Bool(_))
-        {
-            return Err(WireError::new("bad_field", "\"loop_aware\" must be a boolean"));
-        }
         Ok(spec)
     }
 
@@ -293,11 +288,6 @@ impl JobSpec {
     /// The fault rate, if given.
     pub fn fault_rate(&self) -> Option<f64> {
         self.body.get("fault_rate").as_f64()
-    }
-
-    /// The sweep `loop_aware` flag (defaults to off).
-    pub fn loop_aware(&self) -> bool {
-        matches!(self.body.get("loop_aware"), Value::Bool(true))
     }
 }
 
@@ -339,11 +329,12 @@ mod tests {
     fn the_schema_is_closed_per_kind() {
         let e = JobSpec::parse(r#"{"v":1,"kind":"sim","modle":"TOW","app":"gcc"}"#).unwrap_err();
         assert_eq!(e.code, "unknown_field");
-        // `loop_aware` belongs to sweep, not sim.
-        let e = JobSpec::parse(
-            r#"{"v":1,"kind":"sim","model":"TOW","app":"gcc","loop_aware":true}"#,
-        )
-        .unwrap_err();
+        // `model` belongs to sim, not analyze.
+        let e =
+            JobSpec::parse(r#"{"v":1,"kind":"analyze","app":"gcc","model":"TOW"}"#).unwrap_err();
+        assert_eq!(e.code, "unknown_field");
+        // The retired eviction flag is part of no schema, sweep included.
+        let e = JobSpec::parse(r#"{"v":1,"kind":"sweep","loop_aware":true}"#).unwrap_err();
         assert_eq!(e.code, "unknown_field");
         let e = JobSpec::parse(r#"{"v":1,"kind":"sim","model":"TOW"}"#).unwrap_err();
         assert_eq!(e.code, "missing_field");

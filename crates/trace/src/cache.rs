@@ -81,23 +81,12 @@ pub struct TraceCacheConfig {
     pub sets: u32,
     /// Associativity.
     pub ways: u32,
-    /// Loop-aware eviction: when a full set needs a victim, prefer the
-    /// frame whose head sits at the shallowest static loop depth
-    /// (ties broken by recency), protecting deep-loop traces from
-    /// eviction by straight-line glue. Requires reuse hints to be
-    /// installed via [`TraceCache::set_reuse_hints`]; with no hints the
-    /// policy degrades to plain LRU. Off in the standard configuration.
-    pub loop_aware: bool,
 }
 
 impl TraceCacheConfig {
     /// 512 frames × 64 uops, 4-way (the study's configuration).
     pub fn standard() -> TraceCacheConfig {
-        TraceCacheConfig {
-            sets: 128,
-            ways: 4,
-            loop_aware: false,
-        }
+        TraceCacheConfig { sets: 128, ways: 4 }
     }
 
     /// Total frame capacity.
@@ -145,10 +134,6 @@ pub struct TraceCache {
     /// Frames evicted after optimization, with their reuse counts — feeds
     /// the optimizer-utilization statistic even for evicted traces.
     pub retired_opt_reuse: Vec<u64>,
-    /// Static loop-depth hints as sorted, non-overlapping pc regions
-    /// `(start, end_exclusive, depth)` — produced by the analysis crate's
-    /// `eviction_hints`. Only consulted when `cfg.loop_aware` is set.
-    hints: Vec<(u64, u64, u8)>,
 }
 
 impl TraceCache {
@@ -171,24 +156,6 @@ impl TraceCache {
             stats: TraceCacheStats::default(),
             integrity: false,
             retired_opt_reuse: Vec::new(),
-            hints: Vec::new(),
-        }
-    }
-
-    /// Install static loop-depth hints for loop-aware eviction: sorted,
-    /// non-overlapping `(start_pc, end_pc_exclusive, depth)` regions.
-    /// Regions are re-sorted defensively; lookups binary-search them.
-    pub fn set_reuse_hints(&mut self, mut hints: Vec<(u64, u64, u8)>) {
-        hints.sort_unstable();
-        self.hints = hints;
-    }
-
-    /// Static loop depth of the block containing `pc` (0 when unknown).
-    pub fn depth_hint(&self, pc: u64) -> u8 {
-        let i = self.hints.partition_point(|&(start, _, _)| start <= pc);
-        match i.checked_sub(1).and_then(|j| self.hints.get(j)) {
-            Some(&(_, end, depth)) if pc < end => depth,
-            _ => 0,
         }
     }
 
@@ -305,9 +272,7 @@ impl TraceCache {
         let range = self.set_range(&frame.tid);
         let tick = self.tick;
         // Reuse an existing slot for the same TID, else an empty way, else
-        // the victim: plain LRU, or — with loop-aware eviction — the frame
-        // at the shallowest static loop depth (LRU among equals), so
-        // deep-loop traces survive pressure from straight-line glue.
+        // the LRU victim.
         let idx = {
             let slots = &self.slots[range.clone()];
             slots
@@ -315,27 +280,12 @@ impl TraceCache {
                 .position(|s| s.frame.as_ref().is_some_and(|f| f.tid == frame.tid))
                 .or_else(|| slots.iter().position(|s| s.frame.is_none()))
                 .unwrap_or_else(|| {
-                    if self.cfg.loop_aware {
-                        slots
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| {
-                                let depth = s
-                                    .frame
-                                    .as_ref()
-                                    .map_or(0, |f| self.depth_hint(f.tid.start_pc));
-                                (depth, s.stamp)
-                            })
-                            .map(|(i, _)| i)
-                            .expect("nonzero associativity")
-                    } else {
-                        slots
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| s.stamp)
-                            .map(|(i, _)| i)
-                            .expect("nonzero associativity")
-                    }
+                    slots
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, s)| s.stamp)
+                        .map(|(i, _)| i)
+                        .expect("nonzero associativity")
                 })
         };
         let slots = &mut self.slots[range];
@@ -603,11 +553,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_within_set() {
-        let cfg = TraceCacheConfig {
-            sets: 1,
-            ways: 2,
-            loop_aware: false,
-        };
+        let cfg = TraceCacheConfig { sets: 1, ways: 2 };
         let mut tc = TraceCache::new(cfg);
         tc.insert(frame(1));
         tc.insert(frame(2));
@@ -617,53 +563,6 @@ mod tests {
         assert!(!tc.contains(&Tid::new(2)));
         assert_eq!(tc.stats().evictions, 1);
         assert_eq!(tc.len(), 2);
-    }
-
-    #[test]
-    fn loop_aware_eviction_protects_deep_loop_frames() {
-        let cfg = TraceCacheConfig {
-            sets: 1,
-            ways: 2,
-            loop_aware: true,
-        };
-        let mut tc = TraceCache::new(cfg);
-        // pc 1 sits in a depth-3 loop region; pc 2 is straight-line code.
-        tc.set_reuse_hints(vec![(0, 2, 3)]);
-        tc.insert(frame(1)); // deep
-        tc.insert(frame(2)); // shallow
-        tc.fetch(&Tid::new(2)); // shallow frame is MRU; deep frame is LRU
-        tc.insert(frame(3)); // LRU would evict 1; loop-aware evicts 2
-        assert!(tc.contains(&Tid::new(1)), "deep-loop frame survives");
-        assert!(!tc.contains(&Tid::new(2)), "shallow frame is the victim");
-        assert_eq!(tc.stats().evictions, 1);
-    }
-
-    #[test]
-    fn loop_aware_without_hints_degrades_to_lru() {
-        let cfg = TraceCacheConfig {
-            sets: 1,
-            ways: 2,
-            loop_aware: true,
-        };
-        let mut tc = TraceCache::new(cfg);
-        tc.insert(frame(1));
-        tc.insert(frame(2));
-        tc.fetch(&Tid::new(1)); // 2 becomes LRU
-        tc.insert(frame(3)); // all depths 0: plain LRU evicts 2
-        assert!(tc.contains(&Tid::new(1)));
-        assert!(!tc.contains(&Tid::new(2)));
-    }
-
-    #[test]
-    fn depth_hint_lookup_respects_region_bounds() {
-        let mut tc = TraceCache::new(TraceCacheConfig::standard());
-        tc.set_reuse_hints(vec![(0x100, 0x110, 2), (0x200, 0x240, 1)]);
-        assert_eq!(tc.depth_hint(0x0ff), 0);
-        assert_eq!(tc.depth_hint(0x100), 2);
-        assert_eq!(tc.depth_hint(0x10f), 2);
-        assert_eq!(tc.depth_hint(0x110), 0, "end is exclusive");
-        assert_eq!(tc.depth_hint(0x23f), 1);
-        assert_eq!(tc.depth_hint(0x240), 0);
     }
 
     #[test]
@@ -698,11 +597,7 @@ mod tests {
 
     #[test]
     fn same_tid_reinsert_does_not_evict_neighbors() {
-        let cfg = TraceCacheConfig {
-            sets: 1,
-            ways: 2,
-            loop_aware: false,
-        };
+        let cfg = TraceCacheConfig { sets: 1, ways: 2 };
         let mut tc = TraceCache::new(cfg);
         tc.insert(frame(1));
         tc.insert(frame(2));
@@ -744,11 +639,7 @@ mod tests {
 
     #[test]
     fn invalidate_nth_and_storm_drop_frames() {
-        let cfg = TraceCacheConfig {
-            sets: 4,
-            ways: 2,
-            loop_aware: false,
-        };
+        let cfg = TraceCacheConfig { sets: 4, ways: 2 };
         let mut tc = TraceCache::new(cfg);
         for pc in 1..=6u64 {
             tc.insert(frame(pc));
@@ -785,11 +676,7 @@ mod tests {
 
     #[test]
     fn evicted_optimized_frames_record_reuse() {
-        let cfg = TraceCacheConfig {
-            sets: 1,
-            ways: 1,
-            loop_aware: false,
-        };
+        let cfg = TraceCacheConfig { sets: 1, ways: 1 };
         let mut tc = TraceCache::new(cfg);
         let mut f = frame(1);
         f.opt_level = OptLevel::Optimized;
