@@ -14,18 +14,39 @@ use parrot_workloads::{all_apps, Workload};
 use std::sync::Arc;
 
 fn main() {
-    let budget: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(40_000);
-    let interval: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(10_000);
-    let max_k: usize = std::env::args().nth(3).and_then(|s| s.parse().ok()).unwrap_or(3);
-    let warmup: u64 = std::env::args().nth(4).and_then(|s| s.parse().ok()).unwrap_or(budget);
-    let spec = SamplingSpec { interval, warmup, max_k, ..SamplingSpec::default() };
+    let budget: u64 = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(40_000);
+    let interval: u64 = std::env::args()
+        .nth(2)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(10_000);
+    let max_k: usize = std::env::args()
+        .nth(3)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(3);
+    let warmup: u64 = std::env::args()
+        .nth(4)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(budget);
+    let spec = SamplingSpec {
+        interval,
+        warmup,
+        max_k,
+        ..SamplingSpec::default()
+    };
     println!("budget {budget} interval {interval} max_k {max_k} warmup {warmup}");
     let only: Vec<String> = std::env::args()
         .nth(5)
         .map(|s| s.split(',').map(str::to_string).collect())
         .unwrap_or_default();
     let per_model = std::env::args().any(|a| a == "--models");
-    let models: &[Model] = if per_model { &Model::ALL } else { &[Model::TOW] };
+    let models: &[Model] = if per_model {
+        &Model::ALL
+    } else {
+        &[Model::TOW]
+    };
     for p in all_apps() {
         if !only.is_empty() && !only.iter().any(|n| n == p.name) {
             continue;

@@ -7,7 +7,10 @@ use std::time::Instant;
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or_else(|| "gcc".into());
-    let budget: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(30_000_000);
+    let budget: u64 = std::env::args()
+        .nth(2)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(30_000_000);
     let spec = SamplingSpec::default();
     let wl = Workload::build(&app_by_name(&app).unwrap());
     let t = Instant::now();
@@ -15,10 +18,16 @@ fn main() {
     println!("capture  {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
     let t = Instant::now();
     let plan = Arc::new(build_plan(&trace, &wl, budget, &spec).unwrap());
-    println!("plan     {:>8.1} ms (k={})", t.elapsed().as_secs_f64() * 1e3, plan.k());
+    println!(
+        "plan     {:>8.1} ms (k={})",
+        t.elapsed().as_secs_f64() * 1e3,
+        plan.k()
+    );
     let t = Instant::now();
     let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
-    let warmth = Arc::new(SampleWarmth::build(&trace, &wl, budget, &plan, &spec, &cfgs));
+    let warmth = Arc::new(SampleWarmth::build(
+        &trace, &wl, budget, &plan, &spec, &cfgs,
+    ));
     println!("warmth   {:>8.1} ms", t.elapsed().as_secs_f64() * 1e3);
     for m in Model::ALL {
         let t = Instant::now();
@@ -28,6 +37,10 @@ fn main() {
             .sampled_plan(Arc::clone(&plan))
             .sample_warmth(Arc::clone(&warmth))
             .run(&wl);
-        println!("{m:<4} run {:>8.1} ms (ipc {:.3})", t.elapsed().as_secs_f64() * 1e3, r.ipc());
+        println!(
+            "{m:<4} run {:>8.1} ms (ipc {:.3})",
+            t.elapsed().as_secs_f64() * 1e3,
+            r.ipc()
+        );
     }
 }

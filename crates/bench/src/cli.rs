@@ -447,8 +447,7 @@ pub fn command(name: &str) -> Option<&'static CommandSpec> {
 }
 
 /// Arguments parsed against one [`CommandSpec`].
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct Parsed {
     /// Non-flag arguments, in order.
     pub positionals: Vec<String>,
@@ -641,11 +640,7 @@ mod tests {
     #[test]
     fn the_table_parser_separates_positionals_switches_and_values() {
         let spec = command("run").expect("run is in the table");
-        let p = parse_command(
-            spec,
-            &strs(&["TON", "gcc", "--insts", "5000", "--json"]),
-        )
-        .unwrap();
+        let p = parse_command(spec, &strs(&["TON", "gcc", "--insts", "5000", "--json"])).unwrap();
         assert_eq!(p.positionals, ["TON", "gcc"]);
         assert!(p.switch("--json"));
         assert_eq!(p.u64_value("--insts").unwrap(), Some(5000));
@@ -672,7 +667,12 @@ mod tests {
             let help = help_text(c);
             assert!(help.contains(c.summary));
             for f in c.flags {
-                assert!(help.contains(f.name), "{} help must list {}", c.name, f.name);
+                assert!(
+                    help.contains(f.name),
+                    "{} help must list {}",
+                    c.name,
+                    f.name
+                );
             }
         }
         // The shared flags are documented exactly once per help page.

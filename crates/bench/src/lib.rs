@@ -443,22 +443,21 @@ impl ResultSet {
                     // the stream in memory when no corpus is armed) and
                     // share it across all models.
                     let plan = cfg.sampling_value().map(|spec| {
-                        let trace = replay.get_or_insert_with(|| {
-                            Arc::new(
-                                capture(&wl, insts, DEFAULT_SLICE_INSTS).unwrap_or_else(|e| {
-                                    panic!("capture failed for {}: {e}", apps[i].name)
-                                }),
-                            )
-                        });
-                        let plan = Arc::new(build_plan(trace, &wl, insts, spec).unwrap_or_else(
-                            |e| panic!("sampling plan failed for {}: {e}", apps[i].name),
-                        ));
+                        let trace =
+                            replay.get_or_insert_with(|| {
+                                Arc::new(capture(&wl, insts, DEFAULT_SLICE_INSTS).unwrap_or_else(
+                                    |e| panic!("capture failed for {}: {e}", apps[i].name),
+                                ))
+                            });
+                        let plan =
+                            Arc::new(build_plan(trace, &wl, insts, spec).unwrap_or_else(|e| {
+                                panic!("sampling plan failed for {}: {e}", apps[i].name)
+                            }));
                         // Functional warming is likewise per-app: one pass
                         // per distinct bpred config covers the whole zoo.
                         let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
-                        let warmth = Arc::new(SampleWarmth::build(
-                            trace, &wl, insts, &plan, spec, &cfgs,
-                        ));
+                        let warmth =
+                            Arc::new(SampleWarmth::build(trace, &wl, insts, &plan, spec, &cfgs));
                         (plan, warmth)
                     });
                     let mut local = Vec::with_capacity(Model::ALL.len());

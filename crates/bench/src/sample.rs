@@ -195,12 +195,8 @@ impl SampleReport {
             }
         }
         let order: Vec<&str> = all_apps().iter().map(|p| p.name).collect();
-        self.apps.sort_by_key(|a| {
-            order
-                .iter()
-                .position(|n| *n == a.app)
-                .unwrap_or(usize::MAX)
-        });
+        self.apps
+            .sort_by_key(|a| order.iter().position(|n| *n == a.app).unwrap_or(usize::MAX));
     }
 
     /// Per-suite aggregate rows (label, records) behind the markdown
@@ -251,9 +247,8 @@ impl SampleReport {
             let geo = |f: &dyn Fn(&AppSample) -> f64| {
                 geo_mean(&rows.iter().map(|a| f(a).max(ERR_FLOOR)).collect::<Vec<_>>())
             };
-            let max = |f: &dyn Fn(&AppSample) -> f64| {
-                rows.iter().map(|a| f(a)).fold(0.0f64, f64::max)
-            };
+            let max =
+                |f: &dyn Fn(&AppSample) -> f64| rows.iter().map(|a| f(a)).fold(0.0f64, f64::max);
             let sim_frac = geo_mean(
                 &rows
                     .iter()
@@ -282,10 +277,17 @@ pub fn gate(report: &SampleReport, tol: f64) -> Vec<String> {
     let mut out = Vec::new();
     for (label, rows) in report.groups() {
         let pairs = [
-            ("IPC", rows.iter().map(|a| a.ipc_err.max(ERR_FLOOR)).collect::<Vec<_>>()),
+            (
+                "IPC",
+                rows.iter()
+                    .map(|a| a.ipc_err.max(ERR_FLOOR))
+                    .collect::<Vec<_>>(),
+            ),
             (
                 "energy",
-                rows.iter().map(|a| a.energy_err.max(ERR_FLOOR)).collect::<Vec<_>>(),
+                rows.iter()
+                    .map(|a| a.energy_err.max(ERR_FLOOR))
+                    .collect::<Vec<_>>(),
             ),
         ];
         for (what, errs) in pairs {
@@ -437,8 +439,7 @@ mod tests {
         let mut r = SampleReport::new(6_000, spec());
         r.merge(vec![record("gcc", "SpecInt", 0.01)]);
         let text = r.to_json().to_json_pretty();
-        let back =
-            SampleReport::from_json(&parrot_telemetry::json::parse(&text).unwrap()).unwrap();
+        let back = SampleReport::from_json(&parrot_telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
         assert!(back.compatible(6_000, &spec()));
         assert!(!back.compatible(6_000, &SamplingSpec::default()));

@@ -96,7 +96,10 @@ fn lookup_app(name: &str) -> Result<AppProfile, WireError> {
     app_by_name(name).ok_or_else(|| {
         WireError::new(
             "unknown_app",
-            format!("unknown app {name:?}; `parrot list-apps` names all {}", all_apps().len()),
+            format!(
+                "unknown app {name:?}; `parrot list-apps` names all {}",
+                all_apps().len()
+            ),
         )
     })
 }
@@ -170,7 +173,12 @@ impl Executor for Backend {
         }
     }
 
-    fn execute(&self, spec: &JobSpec, shed: bool, progress: &Arc<Progress>) -> Result<Value, String> {
+    fn execute(
+        &self,
+        spec: &JobSpec,
+        shed: bool,
+        progress: &Arc<Progress>,
+    ) -> Result<Value, String> {
         match spec.kind() {
             JobKind::Sim => {
                 let model = lookup_model(spec).map_err(|e| e.to_string())?;
@@ -251,8 +259,8 @@ impl Executor for Backend {
                 let app = lookup_app(spec.app().unwrap_or_default()).map_err(|e| e.to_string())?;
                 let prog = generate_program(&app);
                 progress.set_total(1);
-                let pa = parrot_analysis::analyze(&prog)
-                    .map_err(|e| format!("analysis failed: {e}"))?;
+                let pa =
+                    parrot_analysis::analyze(&prog).map_err(|e| format!("analysis failed: {e}"))?;
                 progress.tick();
                 Ok(pa.report(app.name))
             }

@@ -88,7 +88,11 @@ fn sampled_runs_track_full_runs_across_every_app() {
             ipc_err,
             energy_err
         );
-        assert_eq!(sampled.insts, BUDGET, "{}: reconstruction covers budget", p.name);
+        assert_eq!(
+            sampled.insts, BUDGET,
+            "{}: reconstruction covers budget",
+            p.name
+        );
         let (ipc, energy) = by_suite.entry(p.suite).or_default();
         ipc.push(ipc_err.max(ERR_FLOOR));
         energy.push(energy_err.max(ERR_FLOOR));
@@ -225,7 +229,11 @@ fn sampling_counters_reconcile_with_the_plan() {
     assert_eq!(hub.counter("sample:intervals"), plan.num_intervals() as u64);
     assert_eq!(hub.counter("sample:simulated"), expected_simulated);
     let weights = plan.weights();
-    assert_eq!(weights.iter().sum::<f64>(), 1.0, "weights sum to 1.0 exactly");
+    assert_eq!(
+        weights.iter().sum::<f64>(),
+        1.0,
+        "weights sum to 1.0 exactly"
+    );
 }
 
 #[test]

@@ -107,7 +107,10 @@ fn a_posted_sweep_job_is_byte_identical_to_the_cli_document() {
         r#"{"v":1,"kind":"sweep","app":"gcc","insts":20000}"#,
     );
     let cli = sweep_app_doc(&app_by_name("gcc").unwrap(), 20_000, None).to_json_pretty();
-    assert_eq!(served, cli, "served sweep != `parrot sweep gcc --json` bytes");
+    assert_eq!(
+        served, cli,
+        "served sweep != `parrot sweep gcc --json` bytes"
+    );
     h.shutdown();
 }
 
@@ -148,11 +151,12 @@ fn overload_sheds_sim_jobs_to_sampled_mode_and_the_ledger_reconciles() {
     .unwrap();
     // Hammer with distinct real jobs; budget large enough that the
     // worker is busy while later submissions arrive.
-    let apps = ["gcc", "swim", "bzip", "parser", "art", "gzip", "mesa", "vpr"];
+    let apps = [
+        "gcc", "swim", "bzip", "parser", "art", "gzip", "mesa", "vpr",
+    ];
     let (mut accepted, mut shed, mut rejected) = (0u64, 0u64, 0u64);
     for app in apps {
-        let body =
-            format!(r#"{{"v":1,"kind":"sim","model":"TOW","app":"{app}","insts":150000}}"#);
+        let body = format!(r#"{{"v":1,"kind":"sim","model":"TOW","app":"{app}","insts":150000}}"#);
         let (status, head, resp) = post_job(h.addr(), &body);
         match status {
             200 | 202 => {

@@ -142,12 +142,18 @@ fn canonical_form_is_deterministic_and_distinguishes_knobs() {
         .faults(FaultPlan::new(9).rate(0.01))
         .canonical()
         .to_json();
-    assert_ne!(a, faulted, "fault plan must be visible in the canonical form");
+    assert_ne!(
+        a, faulted,
+        "fault plan must be visible in the canonical form"
+    );
 
     let mut cfg = Model::TOW.config();
     cfg.name = "ablation".to_string();
     let renamed = SimRequest::config(cfg).insts(30_000).canonical().to_json();
-    assert_ne!(a, renamed, "config name must be visible in the canonical form");
+    assert_ne!(
+        a, renamed,
+        "config name must be visible in the canonical form"
+    );
 }
 
 // ---------------------------------------------------------------------------

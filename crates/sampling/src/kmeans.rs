@@ -247,9 +247,7 @@ pub fn representative(points: &[Vec<f64>], clustering: &Clustering, c: usize) ->
         let d = dist2(p, ctr);
         let better = match best {
             None => true,
-            Some((bi, bd)) => {
-                d < bd || (d == bd && lex_cmp(p, &points[bi]) == Ordering::Less)
-            }
+            Some((bi, bd)) => d < bd || (d == bd && lex_cmp(p, &points[bi]) == Ordering::Less),
         };
         if better {
             best = Some((i, d));

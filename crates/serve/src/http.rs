@@ -167,10 +167,8 @@ mod tests {
 
     #[test]
     fn a_post_with_body_parses() {
-        let req = roundtrip(
-            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
-        )
-        .unwrap();
+        let req = roundtrip(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/jobs");
         assert_eq!(req.body, b"hello");
@@ -190,7 +188,10 @@ mod tests {
             "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        assert!(matches!(roundtrip(huge.as_bytes()), Err(HttpError::TooLarge)));
+        assert!(matches!(
+            roundtrip(huge.as_bytes()),
+            Err(HttpError::TooLarge)
+        ));
         let mut head = b"GET /x HTTP/1.1\r\n".to_vec();
         head.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 10));
         assert!(matches!(

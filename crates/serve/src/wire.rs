@@ -180,7 +180,9 @@ impl JobSpec {
             Some(other) => {
                 return Err(WireError::new(
                     "bad_version",
-                    format!("wire version {other} not supported (this server speaks {WIRE_VERSION})"),
+                    format!(
+                        "wire version {other} not supported (this server speaks {WIRE_VERSION})"
+                    ),
                 ));
             }
             None => {
@@ -200,7 +202,12 @@ impl JobSpec {
                     ),
                 )
             })?,
-            None => return Err(WireError::new("bad_kind", "missing required field \"kind\"")),
+            None => {
+                return Err(WireError::new(
+                    "bad_kind",
+                    "missing required field \"kind\"",
+                ))
+            }
         };
         let fields = kind_fields(kind);
         for key in map.keys() {
@@ -245,7 +252,10 @@ impl JobSpec {
                 ));
             }
         } else if !matches!(spec.body.get("fault_rate"), Value::Null) {
-            return Err(WireError::new("bad_field", "\"fault_rate\" must be a number"));
+            return Err(WireError::new(
+                "bad_field",
+                "\"fault_rate\" must be a number",
+            ));
         }
         for name in ["model", "app"] {
             if !matches!(spec.body.get(name), Value::Null) && spec.body.get(name).as_str().is_none()
@@ -348,13 +358,11 @@ mod tests {
         let e = JobSpec::parse(r#"{"v":1,"kind":"sim","model":"N","app":"gcc","insts":1.5}"#)
             .unwrap_err();
         assert_eq!(e.code, "bad_field");
-        let e =
-            JobSpec::parse(r#"{"v":1,"kind":"sim","model":"N","app":"gcc","fault_rate":1.5}"#)
-                .unwrap_err();
+        let e = JobSpec::parse(r#"{"v":1,"kind":"sim","model":"N","app":"gcc","fault_rate":1.5}"#)
+            .unwrap_err();
         assert_eq!(e.code, "bad_field");
-        let s =
-            JobSpec::parse(r#"{"v":1,"kind":"sim","model":"N","app":"gcc","fault_rate":0.25}"#)
-                .unwrap();
+        let s = JobSpec::parse(r#"{"v":1,"kind":"sim","model":"N","app":"gcc","fault_rate":0.25}"#)
+            .unwrap();
         assert_eq!(s.fault_rate(), Some(0.25));
     }
 

@@ -14,7 +14,11 @@ use parrot_telemetry::rng::Xorshift64Star;
 #[test]
 fn nesting_is_capped_with_a_structured_error() {
     // One past the cap: rejected, not a stack overflow.
-    let deep_arr = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+    let deep_arr = format!(
+        "{}1{}",
+        "[".repeat(MAX_DEPTH + 1),
+        "]".repeat(MAX_DEPTH + 1)
+    );
     let err = parse(&deep_arr).expect_err("over-deep array must be rejected");
     assert_eq!(err.message, "nesting too deep");
     let mut deep_obj = String::new();
@@ -85,7 +89,9 @@ fn huge_numbers_are_rejected_not_infinity() {
 
 #[test]
 fn malformed_number_shapes_are_rejected() {
-    for bad in ["-", "+1", ".5", "1.", "1e", "1e+", "01", "0x10", "NaN", "Infinity", "--1"] {
+    for bad in [
+        "-", "+1", ".5", "1.", "1e", "1e+", "01", "0x10", "NaN", "Infinity", "--1",
+    ] {
         match parse(bad) {
             // Either a parse error…
             Err(ParseError { .. }) => {}

@@ -108,8 +108,8 @@ fn seek_lands_mid_slice_and_agrees_with_sequential_decode() {
 
     // StreamSource::skip routes through the same machinery and must agree
     // with a live engine skipped the slow way.
-    let mut replay = parrot_workloads::StreamSource::replay(Arc::clone(&trace), &w)
-        .expect("source matches");
+    let mut replay =
+        parrot_workloads::StreamSource::replay(Arc::clone(&trace), &w).expect("source matches");
     let mut live = parrot_workloads::StreamSource::live(&w);
     replay.skip(6_400).expect("in range");
     live.skip(6_400).expect("live skip is infallible");
