@@ -860,20 +860,19 @@ fn sweep(p: &cli::Parsed) -> i32 {
     };
     let profile = parse_profile(app);
     let insts = insts_or_default(p);
+    let cfg = parrot_bench::SweepConfig::new().insts(insts);
     if p.switch("--json") {
         // The same function the serve backend runs for a one-app sweep
         // job: stdout here is byte-identical to that job's result body.
-        let doc = parrot_bench::serve_backend::sweep_app_doc(&profile, insts, None);
+        let doc = parrot_bench::serve_backend::sweep_app_doc(&profile, &cfg);
         print!("{}", doc.to_json_pretty());
         return 0;
     }
-    let wl = Workload::build(&profile);
     println!(
         "{:<6}{:>9}{:>12}{:>10}{:>10}",
         "model", "IPC", "energy", "cov", "tmr"
     );
-    for m in Model::ALL {
-        let r = SimRequest::model(m).insts(insts).run(&wl);
+    for r in cfg.run_app(&Workload::build(&profile)).0 {
         let (cov, tmr) = r
             .trace
             .as_ref()
@@ -881,7 +880,7 @@ fn sweep(p: &cli::Parsed) -> i32 {
             .unwrap_or((0.0, 0.0));
         println!(
             "{:<6}{:>9.3}{:>12.0}{:>9.1}%{:>9.2}%",
-            m.name(),
+            r.model,
             r.ipc(),
             r.energy,
             cov,

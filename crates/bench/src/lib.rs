@@ -21,11 +21,12 @@
 #![warn(missing_docs)]
 
 use parrot_core::{
-    build_plan, FaultKind, FaultPlan, Model, SampleWarmth, SamplingSpec, SimReport, SimRequest,
+    build_plan, FaultKind, FaultPlan, Model, SamplePlan, SampleWarmth, SamplingSpec, SimReport,
+    SimRequest,
 };
 use parrot_energy::metrics::{cmpw_relative, geo_mean};
 use parrot_telemetry::json::Value;
-use parrot_telemetry::shard::SweepSession;
+use parrot_telemetry::shard::{tick_installed_progress, SweepSession};
 use parrot_workloads::tracefmt::{capture, TraceError, TraceFile, DEFAULT_SLICE_INSTS, FILE_EXT};
 use parrot_workloads::{all_apps, AppProfile, Suite, Workload};
 use std::collections::BTreeMap;
@@ -328,6 +329,58 @@ impl SweepConfig {
         req
     }
 
+    /// Run every model of [`Model::ALL`] on one application, reports in
+    /// that order. This is the one per-app runner: the sweep workers,
+    /// `parrot sweep APP`, serve `sweep` jobs and `parrot sample` all call
+    /// it. Under phase sampling the committed stream (the armed corpus
+    /// file, or an in-memory capture), the [`SamplePlan`] and the
+    /// functional-warming snapshots are built once and shared by every
+    /// model; the plan is returned alongside the reports. Ticks the calling
+    /// thread's installed progress handle once per model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the armed corpus cannot serve `wl`, or if the capture or
+    /// the sampling plan fails.
+    pub fn run_app(&self, wl: &Workload) -> (Vec<SimReport>, Option<Arc<SamplePlan>>) {
+        let (insts, name) = (self.insts, wl.profile.name);
+        let mut replay = self
+            .replay_for(wl)
+            .unwrap_or_else(|e| panic!("replay corpus unusable for {name}: {e}"));
+        let shared = self.sampling.as_ref().map(|spec| {
+            let trace = replay.get_or_insert_with(|| {
+                Arc::new(
+                    capture(wl, insts, DEFAULT_SLICE_INSTS)
+                        .unwrap_or_else(|e| panic!("capture failed for {name}: {e}")),
+                )
+            });
+            let plan = Arc::new(
+                build_plan(trace, wl, insts, spec)
+                    .unwrap_or_else(|e| panic!("sampling plan failed for {name}: {e}")),
+            );
+            // One warming pass per distinct bpred config covers the zoo.
+            let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
+            let warmth = Arc::new(SampleWarmth::build(trace, wl, insts, &plan, spec, &cfgs));
+            (plan, warmth)
+        });
+        let reports = Model::ALL
+            .iter()
+            .map(|&m| {
+                let mut req = self.request(m);
+                if let Some(t) = &replay {
+                    req = req.replay(Arc::clone(t));
+                }
+                if let Some((p, w)) = &shared {
+                    req = req.sampled_plan(Arc::clone(p)).sample_warmth(Arc::clone(w));
+                }
+                let report = req.run(wl);
+                tick_installed_progress();
+                report
+            })
+            .collect();
+        (reports, shared.map(|(plan, _)| plan))
+    }
+
     /// Load and validate the replay capture for `wl`, when a corpus is
     /// armed: the file must parse, match the workload, and cover the
     /// instruction budget.
@@ -434,43 +487,7 @@ impl ResultSet {
                     if let Some(sess) = session {
                         sess.install_item();
                     }
-                    let wl = Workload::build(&apps[i]);
-                    let mut replay = cfg.replay_for(&wl).unwrap_or_else(|e| {
-                        panic!("replay corpus unusable for {}: {e}", apps[i].name)
-                    });
-                    // Under phase sampling the BBV + clustering work is
-                    // per-app, not per-model: build the plan once (capturing
-                    // the stream in memory when no corpus is armed) and
-                    // share it across all models.
-                    let plan = cfg.sampling_value().map(|spec| {
-                        let trace =
-                            replay.get_or_insert_with(|| {
-                                Arc::new(capture(&wl, insts, DEFAULT_SLICE_INSTS).unwrap_or_else(
-                                    |e| panic!("capture failed for {}: {e}", apps[i].name),
-                                ))
-                            });
-                        let plan =
-                            Arc::new(build_plan(trace, &wl, insts, spec).unwrap_or_else(|e| {
-                                panic!("sampling plan failed for {}: {e}", apps[i].name)
-                            }));
-                        // Functional warming is likewise per-app: one pass
-                        // per distinct bpred config covers the whole zoo.
-                        let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
-                        let warmth =
-                            Arc::new(SampleWarmth::build(trace, &wl, insts, &plan, spec, &cfgs));
-                        (plan, warmth)
-                    });
-                    let mut local = Vec::with_capacity(Model::ALL.len());
-                    for m in Model::ALL {
-                        let mut req = cfg.request(m);
-                        if let Some(t) = &replay {
-                            req = req.replay(Arc::clone(t));
-                        }
-                        if let Some((p, w)) = &plan {
-                            req = req.sampled_plan(Arc::clone(p)).sample_warmth(Arc::clone(w));
-                        }
-                        local.push(req.run(&wl));
-                    }
+                    let (local, _) = cfg.run_app(&Workload::build(&apps[i]));
                     if let Some(sess) = session {
                         sess.collect_item(i, w);
                     }

@@ -1,28 +1,26 @@
 //! SimPoint-style phase-sampling harness behind `parrot sample`.
 //!
-//! For each application the harness runs every machine model twice: the
-//! full simulation at the pinned budget, and the sampled reconstruction
-//! ([`SimRequest::sampled_plan`]) driven by one shared in-memory capture,
-//! one shared [`parrot_core::SamplePlan`], and shared functional-warming
-//! snapshots ([`SampleWarmth`]). It records, per app, the worst-over-
-//! models IPC and energy reconstruction error plus both wall-clock
-//! timings (the sampled side includes the capture, the BBV+clustering
-//! plan, and the warming passes — the real cost a user pays), and merges
-//! the records by app into
+//! For each application the harness runs every machine model twice through
+//! the per-app runner [`SweepConfig::run_app`]: the full simulation at the
+//! pinned budget, and the sampled reconstruction driven by one shared
+//! in-memory capture, one shared [`parrot_core::SamplePlan`], and shared
+//! functional-warming snapshots ([`parrot_core::SampleWarmth`]). It
+//! records, per app, the worst-over-models IPC and energy reconstruction
+//! error plus both wall-clock timings (the sampled side includes the
+//! capture, the BBV+clustering plan, and the warming passes — the real
+//! cost a user pays), and merges the records by app into
 //! `results/sampling.json` so the 44-app table can be accumulated across
 //! invocations. [`sampling_markdown`] renders the per-suite fidelity
 //! table EXPERIMENTS.md embeds; [`gate`] is the tolerance check behind
 //! `parrot sample --tol` and the CI sampling job.
 
-use crate::env_root;
-use parrot_core::{build_plan, Model, SampleWarmth, SamplingSpec, SimRequest};
+use crate::{env_root, SweepConfig};
+use parrot_core::{detailed_insts, Model, SamplingSpec};
 use parrot_energy::metrics::geo_mean;
 use parrot_telemetry::json::Value;
 use parrot_telemetry::status;
-use parrot_workloads::tracefmt::{capture, DEFAULT_SLICE_INSTS};
 use parrot_workloads::{all_apps, AppProfile, Suite, Workload};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Default per-suite geomean error tolerance for the `--tol` gate (3%,
@@ -305,40 +303,20 @@ pub fn gate(report: &SampleReport, tol: f64) -> Vec<String> {
 }
 
 /// Measure one application: full simulation of every model, then the
-/// sampled reconstruction (shared capture + shared plan), and the
-/// worst-over-models reconstruction errors.
+/// sampled reconstruction (shared capture, plan and warmth — both through
+/// [`SweepConfig::run_app`]), and the worst-over-models reconstruction
+/// errors.
 pub fn run_app(profile: &AppProfile, insts: u64, spec: &SamplingSpec) -> AppSample {
     let wl = Workload::build(profile);
+    let cfg = SweepConfig::new().insts(insts);
     let t0 = Instant::now();
-    let full: Vec<_> = Model::ALL
-        .iter()
-        .map(|m| SimRequest::model(*m).insts(insts).run(&wl))
-        .collect();
+    let (full, _) = cfg.run_app(&wl);
     let full_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let trace = Arc::new(
-        capture(&wl, insts, DEFAULT_SLICE_INSTS)
-            .unwrap_or_else(|e| panic!("capture failed for {}: {e}", profile.name)),
-    );
-    let plan = Arc::new(
-        build_plan(&trace, &wl, insts, spec)
-            .unwrap_or_else(|e| panic!("sampling plan failed for {}: {e}", profile.name)),
-    );
-    let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
-    let warmth = Arc::new(SampleWarmth::build(&trace, &wl, insts, &plan, spec, &cfgs));
-    let sampled: Vec<_> = Model::ALL
-        .iter()
-        .map(|m| {
-            SimRequest::model(*m)
-                .insts(insts)
-                .replay(Arc::clone(&trace))
-                .sampled_plan(Arc::clone(&plan))
-                .sample_warmth(Arc::clone(&warmth))
-                .run(&wl)
-        })
-        .collect();
+    let (sampled, plan) = cfg.sampled(spec.clone()).run_app(&wl);
     let sampled_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let plan = plan.expect("sampling is armed");
 
     let rel = |s: f64, f: f64| if f != 0.0 { (s / f - 1.0).abs() } else { 0.0 };
     let (mut ipc_err, mut energy_err) = (0.0f64, 0.0f64);
@@ -347,18 +325,10 @@ pub fn run_app(profile: &AppProfile, insts: u64, spec: &SamplingSpec) -> AppSamp
         ipc_err = ipc_err.max(rel(s.ipc(), f.ipc()));
         energy_err = energy_err.max(rel(s.energy, f.energy));
     }
-    // Per-model simulated instructions: each representative costs one
-    // checkpointed run of its warmup prefix plus the measured window.
-    // This is the trace-model (largest) figure — under functional
-    // warming the baseline models trim their detailed warmup further.
-    let simulated: u64 = plan
-        .clusters
-        .iter()
-        .map(|c| {
-            let iv = plan.intervals[c.rep];
-            spec.warmup.min(iv.start) + iv.len
-        })
-        .sum();
+    // Per-model simulated instructions, reported for a trace model (the
+    // largest figure): functional warming lets the baseline models trim
+    // their detailed warmup further.
+    let simulated = detailed_insts(&plan, &Model::TOW.config());
     AppSample {
         app: profile.name.to_string(),
         suite: profile.suite.label().to_string(),

@@ -25,7 +25,7 @@ use parrot_core::{FaultPlan, Model, SamplingSpec, SimReport, SimRequest};
 use parrot_serve::wire::{JobKind, JobSpec, WireError};
 use parrot_serve::Executor;
 use parrot_telemetry::json::Value;
-use parrot_telemetry::shard::{tick_installed_progress, Progress};
+use parrot_telemetry::shard::Progress;
 use parrot_workloads::tracefmt::{self, DEFAULT_SLICE_INSTS};
 use parrot_workloads::{all_apps, app_by_name, generate_program, AppProfile, Workload};
 use std::sync::Arc;
@@ -42,27 +42,22 @@ impl Backend {
 }
 
 /// The `parrot sweep APP --json` document: every machine model run over
-/// one application at one budget, reports in [`Model::ALL`] order.
+/// one application under `cfg` ([`SweepConfig::run_app`]), reports in
+/// [`Model::ALL`] order.
 ///
 /// This is the single source of that document — the CLI prints it and
 /// the serve backend returns it, which is what makes the two
 /// byte-identical. Ticks the calling thread's installed progress handle
 /// once per model (a no-op on the CLI path).
-pub fn sweep_app_doc(profile: &AppProfile, insts: u64, sampling: Option<&SamplingSpec>) -> Value {
-    let wl = Workload::build(profile);
-    let mut runs = Vec::with_capacity(Model::ALL.len());
-    for m in Model::ALL {
-        let mut req = SimRequest::model(m).insts(insts);
-        if let Some(spec) = sampling {
-            req = req.sampled(spec.clone());
-        }
-        runs.push(req.run(&wl).to_json());
-        tick_installed_progress();
-    }
+pub fn sweep_app_doc(profile: &AppProfile, cfg: &SweepConfig) -> Value {
+    let (reports, _) = cfg.run_app(&Workload::build(profile));
     Value::obj([
         ("app", Value::Str(profile.name.to_string())),
-        ("insts", Value::int(insts)),
-        ("runs", Value::Arr(runs)),
+        ("insts", Value::int(cfg.insts_value())),
+        (
+            "runs",
+            Value::Arr(reports.iter().map(SimReport::to_json).collect()),
+        ),
     ])
 }
 
@@ -194,24 +189,22 @@ impl Executor for Backend {
                 Ok(report.to_json())
             }
             JobKind::Sweep => {
-                let sampling = shed.then(SamplingSpec::default);
+                let mut cfg = sweep_config(spec);
+                if shed {
+                    cfg = cfg.sampled(SamplingSpec::default());
+                }
                 match spec.app() {
                     Some(name) => {
                         let app = lookup_app(name).map_err(|e| e.to_string())?;
                         progress.set_total(Model::ALL.len() as u64);
-                        Ok(sweep_app_doc(&app, insts_of(spec), sampling.as_ref()))
+                        Ok(sweep_app_doc(&app, &cfg))
                     }
                     None => {
-                        let mut cfg = sweep_config(spec);
-                        if let Some(s) = sampling {
-                            cfg = cfg.sampled(s);
-                        }
                         progress.set_total(all_apps().len() as u64);
                         // The sweep pool shards telemetry per work item
                         // and ticks the installed handle as each app's
                         // shard drains (see `SweepSession`).
-                        let set = ResultSet::run_sweep_with(&cfg);
-                        Ok(full_sweep_doc(&set))
+                        Ok(full_sweep_doc(&ResultSet::run_sweep_with(&cfg)))
                     }
                 }
             }

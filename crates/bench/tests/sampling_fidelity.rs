@@ -22,7 +22,7 @@
 //! release).
 
 use parrot_bench::{ResultSet, SweepConfig};
-use parrot_core::{build_plan, Model, SamplingSpec, SimRequest};
+use parrot_core::{build_plan, detailed_insts, Model, SamplingSpec, SimRequest};
 use parrot_energy::metrics::geo_mean;
 use parrot_workloads::tracefmt::{capture, DEFAULT_SLICE_INSTS};
 use parrot_workloads::{all_apps, Suite, Workload};
@@ -194,6 +194,31 @@ fn sampled_sweep_is_deterministic_across_jobs_and_invocations() {
 }
 
 #[test]
+fn the_per_app_runner_matches_each_model_sampled_alone() {
+    // The runner captures, plans and warms once per app for all models;
+    // every report must equal that model's sampled run prepared alone.
+    let spec = small_spec();
+    let cfg = SweepConfig::new().insts(8_000).sampled(spec.clone());
+    for app in ["gcc", "swim"] {
+        let wl = Workload::build(&parrot_workloads::app_by_name(app).expect("registered"));
+        let (reports, plan) = cfg.run_app(&wl);
+        assert_eq!(plan.expect("sampling is armed").spec, spec);
+        assert_eq!(reports.len(), Model::ALL.len());
+        for (m, shared) in Model::ALL.iter().zip(&reports) {
+            let alone = SimRequest::model(*m)
+                .insts(8_000)
+                .sampled(spec.clone())
+                .run(&wl);
+            assert_eq!(
+                shared.to_json().to_json(),
+                alone.to_json().to_json(),
+                "{m}/{app}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sampling_counters_reconcile_with_the_plan() {
     use parrot_telemetry::metrics;
 
@@ -205,14 +230,7 @@ fn sampling_counters_reconcile_with_the_plan() {
     let plan = Arc::new(build_plan(&trace, &wl, budget, &spec).expect("plannable"));
     // Expected simulated instructions: per representative, one
     // checkpointed run of warmup prefix + measured window.
-    let expected_simulated: u64 = plan
-        .clusters
-        .iter()
-        .map(|c| {
-            let iv = plan.intervals[c.rep];
-            spec.warmup.min(iv.start) + iv.len
-        })
-        .sum();
+    let expected_simulated = detailed_insts(&plan, &Model::TON.config());
     metrics::install(metrics::MetricsHub::new(1_000));
     let report = SimRequest::model(Model::TON)
         .insts(budget)

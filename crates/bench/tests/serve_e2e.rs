@@ -10,6 +10,7 @@
 //! for `sweep` it is `parrot sweep APP --json` (`sweep_app_doc`).
 
 use parrot_bench::serve_backend::{sweep_app_doc, Backend};
+use parrot_bench::SweepConfig;
 use parrot_core::{Model, SimRequest};
 use parrot_serve::{serve, AdmissionConfig, ServerConfig};
 use parrot_telemetry::json::{parse, Value};
@@ -106,7 +107,8 @@ fn a_posted_sweep_job_is_byte_identical_to_the_cli_document() {
         h.addr(),
         r#"{"v":1,"kind":"sweep","app":"gcc","insts":20000}"#,
     );
-    let cli = sweep_app_doc(&app_by_name("gcc").unwrap(), 20_000, None).to_json_pretty();
+    let cfg = SweepConfig::new().insts(20_000);
+    let cli = sweep_app_doc(&app_by_name("gcc").unwrap(), &cfg).to_json_pretty();
     assert_eq!(
         served, cli,
         "served sweep != `parrot sweep gcc --json` bytes"

@@ -39,4 +39,4 @@ pub use models::{MachineConfig, Model, TraceConfig};
 pub use parrot_sampling::{build_plan, SamplePlan, SamplingSpec};
 pub use report::{OptReport, SimReport, TraceReport};
 pub use request::{SimRequest, CANONICAL_VERSION, DEFAULT_INSTS};
-pub use warmth::{effective_warmup, SampleWarmth, BASELINE_DETAILED_WARMUP};
+pub use warmth::{detailed_insts, effective_warmup, SampleWarmth, BASELINE_DETAILED_WARMUP};

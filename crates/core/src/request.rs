@@ -147,9 +147,10 @@ impl SimRequest {
     /// As [`SimRequest::sampled_plan`], additionally reusing prebuilt
     /// functional-warming snapshots ([`SampleWarmth`], DESIGN.md §18.3) —
     /// the sweep runner builds them once per app and shares them across
-    /// all models. Snapshots whose budget/spec don't match this request,
-    /// or that carry no pass for this machine's branch-predictor
-    /// configuration, are ignored and rebuilt inside the run.
+    /// all models. Like a mismatched plan, snapshots whose budget or spec
+    /// differ from this request's, or that carry no pass for this
+    /// machine's branch-predictor configuration, make [`SimRequest::run`]
+    /// panic.
     pub fn sample_warmth(mut self, warmth: Arc<SampleWarmth>) -> SimRequest {
         self.warmth = Some(warmth);
         self
@@ -253,7 +254,9 @@ impl SimRequest {
     /// # Panics
     ///
     /// Panics if a replay capture is armed that fails
-    /// [`SimRequest::validate_replay`] (wrong source or too short).
+    /// [`SimRequest::validate_replay`] (wrong source or too short), and
+    /// under sampling if a fault plan is armed or a prebuilt plan or
+    /// warmth does not fit the request.
     pub fn run(&self, wl: &Workload) -> SimReport {
         if let Err(e) = self.validate_replay(wl) {
             panic!("invalid replay request: {e}");

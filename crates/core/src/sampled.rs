@@ -23,9 +23,9 @@
 //! run and cannot be spliced from windows).
 
 use crate::machine::Machine;
-use crate::report::{OptReport, SimReport, TraceReport};
+use crate::report::SimReport;
 use crate::request::SimRequest;
-use crate::warmth::SampleWarmth;
+use crate::warmth::{detailed_insts, effective_warmup, SampleWarmth};
 use parrot_sampling::{build_plan, SamplePlan, SamplingSpec};
 use parrot_telemetry::metrics;
 use parrot_workloads::tracefmt::{capture, DEFAULT_SLICE_INSTS};
@@ -43,8 +43,8 @@ const SEGMENT_TAIL: u64 = 4_096;
 /// # Panics
 ///
 /// Panics if a fault plan is armed (unsupported under sampling), if an
-/// armed replay capture fails validation, or if the supplied plan does not
-/// match the request's budget and spec.
+/// armed replay capture fails validation, or if the supplied plan or
+/// warmth does not fit the request's budget, spec and machine.
 pub(crate) fn run_sampled(
     req: &SimRequest,
     wl: &Workload,
@@ -80,11 +80,14 @@ pub(crate) fn run_sampled(
     // Functional warming (DESIGN.md §18.3): every window machine starts
     // from cache/predictor state replayed over its *full* stream history,
     // so the detailed warmup only settles timing-coupled state. Shared
-    // snapshots are reused when they match this request; otherwise one
-    // pass is run here for this machine's predictor configuration.
+    // snapshots must fit this request; without them one pass is run here
+    // for this machine's predictor configuration.
     let warmth = match req.warmth() {
-        Some(w) if w.matches(budget, spec) && w.has_pass(cfg) => Arc::clone(w),
-        _ => Arc::new(SampleWarmth::build(
+        Some(w) => {
+            w.assert_fits(budget, spec, cfg);
+            Arc::clone(w)
+        }
+        None => Arc::new(SampleWarmth::build(
             &trace,
             wl,
             budget,
@@ -93,14 +96,12 @@ pub(crate) fn run_sampled(
             std::slice::from_ref(cfg),
         )),
     };
-    let mut deltas = Vec::with_capacity(plan.k());
-    let mut simulated = 0u64;
+    let mut snapshots = Vec::with_capacity(plan.k());
     for (ci, cluster) in plan.clusters.iter().enumerate() {
         let iv = plan.intervals[cluster.rep];
-        let warm = crate::warmth::effective_warmup(cfg, spec, iv.start);
+        let warm = effective_warmup(cfg, spec, iv.start);
         let skip = iv.start - warm;
-        simulated += warm + iv.len;
-        let delta = if warm == 0 && iv.len >= budget {
+        if warm == 0 && iv.len >= budget {
             // One cold window covering the whole budget *is* the full run
             // (no history to warm from: skip == 0).
             let machine = Machine::from_config_window(
@@ -111,7 +112,7 @@ pub(crate) fn run_sampled(
                 Some(Arc::clone(&trace)),
                 skip,
             );
-            machine.run()
+            snapshots.push((machine.run(), None));
         } else {
             // Budget past the window end keeps the fetch side supplied
             // through the second snapshot, so both segment boundaries see
@@ -125,121 +126,24 @@ pub(crate) fn run_sampled(
                 Some(Arc::clone(&trace)),
                 skip,
             );
-            if let Some((mem, bpred)) = warmth.state_for(ci, cfg) {
-                machine.inject_warm_state(mem, bpred);
-            }
+            let (mem, bpred) = warmth.state_for(ci, cfg);
+            machine.inject_warm_state(mem, bpred);
             let (prefix, window) = machine.run_segment(warm, warm + iv.len);
-            match prefix {
-                Some(p) => delta_report(&window, &p),
-                None => window,
-            }
-        };
-        deltas.push(delta);
+            snapshots.push((window, prefix));
+        }
     }
-    let recon = reconstruct(&plan, &deltas);
+    let recon = reconstruct(&plan, &snapshots);
     if metrics::active() {
         // A fresh run context *after* the per-window machines (each window
         // begins its own run): the sampled counters describe the
         // reconstruction, not any single machine.
         metrics::begin_run(&format!("{}/{}#sampled", cfg.name, wl.profile.name));
         metrics::counter_set("sample:intervals", plan.num_intervals() as u64);
-        metrics::counter_set("sample:simulated", simulated);
+        metrics::counter_set("sample:simulated", detailed_insts(&plan, cfg));
         metrics::counter_set("sample:weighted_insts", plan.weighted_insts());
         metrics::snapshot(recon.insts, recon.cycles);
     }
     recon
-}
-
-fn sub_trace(w: &TraceReport, p: &TraceReport) -> TraceReport {
-    let hot = w.hot_insts.saturating_sub(p.hot_insts);
-    let cold = w.cold_insts.saturating_sub(p.cold_insts);
-    TraceReport {
-        coverage: ratio(hot as f64, (hot + cold) as f64),
-        hot_insts: hot,
-        cold_insts: cold,
-        tpred_predictions: w.tpred_predictions.saturating_sub(p.tpred_predictions),
-        tpred_correct: w.tpred_correct.saturating_sub(p.tpred_correct),
-        pred_aborts: w.pred_aborts.saturating_sub(p.pred_aborts),
-        aborts: w.aborts.saturating_sub(p.aborts),
-        entries: w.entries.saturating_sub(p.entries),
-        hot_attempts: w.hot_attempts.saturating_sub(p.hot_attempts),
-        no_variant: w.no_variant.saturating_sub(p.no_variant),
-        constructed: w.constructed.saturating_sub(p.constructed),
-        tc_lookups: w.tc_lookups.saturating_sub(p.tc_lookups),
-        tc_hits: w.tc_hits.saturating_sub(p.tc_hits),
-        tc_evictions: w.tc_evictions.saturating_sub(p.tc_evictions),
-        // A mean over the window's traces, not a monotone counter: keep the
-        // window value (reconstruction takes the weighted mean).
-        mean_opt_reuse: w.mean_opt_reuse,
-        opt: w.opt.as_ref().map(|wo| {
-            let po = p.opt.as_ref().cloned().unwrap_or_default();
-            OptReport {
-                traces: wo.traces.saturating_sub(po.traces),
-                uop_reduction: wo.uop_reduction,
-                dep_reduction: wo.dep_reduction,
-                work_uops: wo.work_uops.saturating_sub(po.work_uops),
-                fused: wo.fused.saturating_sub(po.fused),
-                simd_lanes: wo.simd_lanes.saturating_sub(po.simd_lanes),
-                removed_dead: wo.removed_dead.saturating_sub(po.removed_dead),
-                folded: wo.folded.saturating_sub(po.folded),
-                validated: wo.validated.saturating_sub(po.validated),
-                demoted: wo.demoted.saturating_sub(po.demoted),
-                inconclusive_lint: wo.inconclusive_lint.saturating_sub(po.inconclusive_lint),
-                inconclusive_equiv: wo.inconclusive_equiv.saturating_sub(po.inconclusive_equiv),
-            }
-        }),
-    }
-}
-
-/// Field-wise `window − prefix`: the measured contribution of the
-/// representative interval with its warmup removed. Both reports are
-/// snapshots of the same run ([`Machine::run_segment`]), so cumulative
-/// counters subtract exactly (saturating as a guard — the earlier
-/// snapshot is never ahead of the later one); rate fields keep the
-/// window's value.
-fn delta_report(window: &SimReport, prefix: &SimReport) -> SimReport {
-    SimReport {
-        model: window.model.clone(),
-        app: window.app.clone(),
-        suite: window.suite.clone(),
-        insts: window.insts.saturating_sub(prefix.insts),
-        uops: window.uops.saturating_sub(prefix.uops),
-        cycles: window.cycles.saturating_sub(prefix.cycles),
-        energy: (window.energy - prefix.energy).max(0.0),
-        energy_by_unit: window
-            .energy_by_unit
-            .iter()
-            .zip(&prefix.energy_by_unit)
-            .map(|((l, we), (pl, pe))| {
-                debug_assert_eq!(l, pl, "unit order is fixed by Unit::ALL");
-                (l.clone(), (we - pe).max(0.0))
-            })
-            .collect(),
-        cond_branches: window.cond_branches.saturating_sub(prefix.cond_branches),
-        cond_mispredicts: window
-            .cond_mispredicts
-            .saturating_sub(prefix.cond_mispredicts),
-        iq_empty_cycles: window
-            .iq_empty_cycles
-            .saturating_sub(prefix.iq_empty_cycles),
-        issue_blocked_cycles: window
-            .issue_blocked_cycles
-            .saturating_sub(prefix.issue_blocked_cycles),
-        state_switches: window.state_switches.saturating_sub(prefix.state_switches),
-        // Order-sensitive digest over the full stream; windows cannot
-        // compose it. 0 marks "not computed" (a real hash is never 0's
-        // astronomically-unlikely FNV fixed point in practice).
-        store_log_hash: 0,
-        committed_stores: window
-            .committed_stores
-            .saturating_sub(prefix.committed_stores),
-        faults: None,
-        trace: match (&window.trace, &prefix.trace) {
-            (Some(w), Some(p)) => Some(sub_trace(w, p)),
-            (Some(w), None) => Some(w.clone()),
-            _ => None,
-        },
-    }
 }
 
 fn ratio(num: f64, den: f64) -> f64 {
@@ -250,144 +154,121 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Weighted sum of the cluster deltas: counter fields scale by
-/// `weight_insts / measured insts` and round once at the end; `insts` is
-/// the budget exactly; rates are weight-fraction means.
-fn reconstruct(plan: &SamplePlan, deltas: &[SimReport]) -> SimReport {
-    // Per-cluster counter scale (exact-count basis) and rate weight
-    // (fraction-of-budget basis, summing to exactly 1.0).
-    let scales: Vec<f64> = plan
-        .clusters
-        .iter()
-        .zip(deltas)
-        .map(|(c, d)| c.weight_insts as f64 / d.insts.max(1) as f64)
-        .collect();
-    let fracs = plan.weights();
-    let wsum_u64 = |f: &dyn Fn(&SimReport) -> u64| -> u64 {
-        deltas
-            .iter()
-            .zip(&scales)
-            .map(|(d, s)| f(d) as f64 * s)
-            .sum::<f64>()
-            .round() as u64
-    };
-    let wsum_f64 = |f: &dyn Fn(&SimReport) -> f64| -> f64 {
-        deltas.iter().zip(&scales).map(|(d, s)| f(d) * s).sum()
-    };
-    let units: Vec<(String, f64)> = deltas[0]
-        .energy_by_unit
-        .iter()
-        .enumerate()
-        .map(|(u, (label, _))| {
-            (
-                label.clone(),
-                wsum_f64(&|d: &SimReport| d.energy_by_unit[u].1),
-            )
-        })
-        .collect();
-    let trace = deltas[0].trace.as_ref().map(|_| {
-        let tsum_u64 = |f: &dyn Fn(&TraceReport) -> u64| -> u64 {
-            deltas
-                .iter()
-                .zip(&scales)
-                .map(|(d, s)| f(d.trace.as_ref().expect("all or none")) as f64 * s)
-                .sum::<f64>()
-                .round() as u64
-        };
-        let tmean = |f: &dyn Fn(&TraceReport) -> f64| -> f64 {
-            deltas
-                .iter()
-                .zip(&fracs)
-                .map(|(d, w)| f(d.trace.as_ref().expect("all or none")) * w)
-                .sum()
-        };
-        let hot = tsum_u64(&|t| t.hot_insts);
-        let cold = tsum_u64(&|t| t.cold_insts);
-        let opt = deltas[0]
-            .trace
-            .as_ref()
-            .and_then(|t| t.opt.as_ref())
-            .map(|_| {
-                let osum = |f: &dyn Fn(&OptReport) -> u64| -> u64 {
-                    deltas
-                        .iter()
-                        .zip(&scales)
-                        .map(|(d, s)| {
-                            f(d.trace
-                                .as_ref()
-                                .and_then(|t| t.opt.as_ref())
-                                .expect("all or none")) as f64
-                                * s
-                        })
-                        .sum::<f64>()
-                        .round() as u64
-                };
-                let omean = |f: &dyn Fn(&OptReport) -> f64| -> f64 {
-                    deltas
-                        .iter()
-                        .zip(&fracs)
-                        .map(|(d, w)| {
-                            f(d.trace
-                                .as_ref()
-                                .and_then(|t| t.opt.as_ref())
-                                .expect("all or none"))
-                                * w
-                        })
-                        .sum()
-                };
-                OptReport {
-                    traces: osum(&|o| o.traces),
-                    uop_reduction: omean(&|o| o.uop_reduction),
-                    dep_reduction: omean(&|o| o.dep_reduction),
-                    work_uops: osum(&|o| o.work_uops),
-                    fused: osum(&|o| o.fused),
-                    simd_lanes: osum(&|o| o.simd_lanes),
-                    removed_dead: osum(&|o| o.removed_dead),
-                    folded: osum(&|o| o.folded),
-                    validated: osum(&|o| o.validated),
-                    demoted: osum(&|o| o.demoted),
-                    inconclusive_lint: osum(&|o| o.inconclusive_lint),
-                    inconclusive_equiv: osum(&|o| o.inconclusive_equiv),
-                }
-            });
-        TraceReport {
-            coverage: ratio(hot as f64, (hot + cold) as f64),
-            hot_insts: hot,
-            cold_insts: cold,
-            tpred_predictions: tsum_u64(&|t| t.tpred_predictions),
-            tpred_correct: tsum_u64(&|t| t.tpred_correct),
-            pred_aborts: tsum_u64(&|t| t.pred_aborts),
-            aborts: tsum_u64(&|t| t.aborts),
-            entries: tsum_u64(&|t| t.entries),
-            hot_attempts: tsum_u64(&|t| t.hot_attempts),
-            no_variant: tsum_u64(&|t| t.no_variant),
-            constructed: tsum_u64(&|t| t.constructed),
-            tc_lookups: tsum_u64(&|t| t.tc_lookups),
-            tc_hits: tsum_u64(&|t| t.tc_hits),
-            tc_evictions: tsum_u64(&|t| t.tc_evictions),
-            mean_opt_reuse: tmean(&|t| t.mean_opt_reuse),
-            opt,
+/// The running per-field sums of one reconstruction, one `f64` per
+/// visited field in visiting order.
+#[derive(Default)]
+struct Weigh {
+    sums: Vec<f64>,
+    next: usize,
+    /// The current cluster's counter scale: `weight_insts / measured insts`.
+    scale: f64,
+    /// The current cluster's rate weight: its fraction of the budget.
+    frac: f64,
+}
+
+impl Weigh {
+    /// Add `x` to the next field's sum and return the sum so far.
+    fn add(&mut self, x: f64) -> f64 {
+        if self.next == self.sums.len() {
+            // `-0.0`, the neutral element `Iterator::sum` starts from.
+            self.sums.push(-0.0);
         }
-    });
-    SimReport {
-        model: deltas[0].model.clone(),
-        app: deltas[0].app.clone(),
-        suite: deltas[0].suite.clone(),
-        insts: plan.budget,
-        uops: wsum_u64(&|d| d.uops),
-        cycles: wsum_u64(&|d| d.cycles),
-        energy: wsum_f64(&|d| d.energy),
-        energy_by_unit: units,
-        cond_branches: wsum_u64(&|d| d.cond_branches),
-        cond_mispredicts: wsum_u64(&|d| d.cond_mispredicts),
-        iq_empty_cycles: wsum_u64(&|d| d.iq_empty_cycles),
-        issue_blocked_cycles: wsum_u64(&|d| d.issue_blocked_cycles),
-        state_switches: wsum_u64(&|d| d.state_switches),
-        store_log_hash: 0,
-        committed_stores: wsum_u64(&|d| d.committed_stores),
-        faults: None,
-        trace,
+        self.sums[self.next] += x;
+        self.next += 1;
+        self.sums[self.next - 1]
     }
+
+    /// A cumulative counter: `window − prefix` (saturating as a guard —
+    /// the earlier snapshot is never ahead), scaled, rounded once.
+    fn count(&mut self, out: &mut u64, w: u64, p: Option<u64>) {
+        let delta = w.saturating_sub(p.unwrap_or(0));
+        *out = self.add(delta as f64 * self.scale).round() as u64;
+    }
+
+    /// Cumulative energy: `window − prefix`, clamped at zero, scaled.
+    fn energy(&mut self, out: &mut f64, w: f64, p: Option<f64>) {
+        let delta = p.map_or(w, |p| (w - p).max(0.0));
+        *out = self.add(delta * self.scale);
+    }
+
+    /// A mean over the window's traces, not a monotone counter: the
+    /// window's value, weighted by its budget fraction.
+    fn rate(&mut self, out: &mut f64, w: f64) {
+        *out = self.add(w * self.frac);
+    }
+}
+
+/// Weigh the listed fields of `$out` from window `$w` and optional prefix
+/// `$p`: `count` fields as counters, `rate` fields as weighted means.
+macro_rules! weigh_fields {
+    ($acc:ident, $out:ident, $w:ident, $p:ident; count: $($c:ident),*; rate: $($r:ident),*) => {
+        $( $acc.count(&mut $out.$c, $w.$c, $p.map(|p| p.$c)); )*
+        $( $acc.rate(&mut $out.$r, $w.$r); )*
+    };
+}
+
+/// Add one cluster's (window, prefix) snapshot pair into `out`. Both
+/// snapshots come from the same run ([`Machine::run_segment`]), so the
+/// field-wise difference is the representative interval with its warmup
+/// removed; a missing prefix subtracts nothing. A numeric report field
+/// missing from these lists keeps the first window's value.
+fn weigh(acc: &mut Weigh, out: &mut SimReport, w: &SimReport, p: Option<&SimReport>) {
+    acc.next = 0;
+    weigh_fields!(acc, out, w, p;
+        count: uops, cycles, cond_branches, cond_mispredicts, iq_empty_cycles,
+            issue_blocked_cycles, state_switches, committed_stores;
+        rate:);
+    acc.energy(&mut out.energy, w.energy, p.map(|p| p.energy));
+    for (u, (label, e)) in out.energy_by_unit.iter_mut().enumerate() {
+        debug_assert_eq!(label, &w.energy_by_unit[u].0, "unit order is fixed");
+        acc.energy(e, w.energy_by_unit[u].1, p.map(|p| p.energy_by_unit[u].1));
+    }
+    let (Some(out), Some(w)) = (out.trace.as_mut(), w.trace.as_ref()) else {
+        return;
+    };
+    let p = p.and_then(|p| p.trace.as_ref());
+    weigh_fields!(acc, out, w, p;
+        count: hot_insts, cold_insts, tpred_predictions, tpred_correct, pred_aborts,
+            aborts, entries, hot_attempts, no_variant, constructed, tc_lookups, tc_hits,
+            tc_evictions;
+        rate: mean_opt_reuse);
+    out.coverage = ratio(
+        out.hot_insts as f64,
+        (out.hot_insts + out.cold_insts) as f64,
+    );
+    let (Some(out), Some(w)) = (out.opt.as_mut(), w.opt.as_ref()) else {
+        return;
+    };
+    let p = p.and_then(|p| p.opt.as_ref());
+    weigh_fields!(acc, out, w, p;
+        count: traces, work_uops, fused, simd_lanes, removed_dead, folded, validated,
+            demoted, inconclusive_lint, inconclusive_equiv;
+        rate: uop_reduction, dep_reduction);
+}
+
+/// The whole-run report as one weighted pass over the clusters'
+/// (window, prefix) snapshot pairs: counters scale by
+/// `weight_insts / measured insts` and round once at the end, rates are
+/// budget-fraction means, and `insts` is the budget exactly.
+/// `store_log_hash` is order-sensitive over the full stream and cannot be
+/// composed from windows: it is 0 ("not computed").
+fn reconstruct(plan: &SamplePlan, snapshots: &[(SimReport, Option<SimReport>)]) -> SimReport {
+    let (first, _) = &snapshots[0];
+    let mut out = SimReport {
+        insts: plan.budget,
+        store_log_hash: 0,
+        faults: None,
+        ..first.clone()
+    };
+    let mut acc = Weigh::default();
+    let fracs = plan.weights();
+    for ((cluster, (w, p)), frac) in plan.clusters.iter().zip(snapshots).zip(fracs) {
+        let measured = w.insts.saturating_sub(p.as_ref().map_or(0, |p| p.insts));
+        acc.scale = cluster.weight_insts as f64 / measured.max(1) as f64;
+        acc.frac = frac;
+        weigh(&mut acc, &mut out, w, p.as_ref());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -496,21 +377,47 @@ mod tests {
 
     #[test]
     fn sampled_accepts_an_armed_replay_and_a_prebuilt_plan() {
+        // The sweep shares one capture, plan and warmth (built for every
+        // model) across all models of an app: each report must equal the
+        // model's sampled run prepared alone, byte for byte.
         let wl = workload("vpr");
         let budget = 20_000;
         let trace = Arc::new(capture(&wl, budget, DEFAULT_SLICE_INSTS).expect("encodable"));
         let plan = Arc::new(build_plan(&trace, &wl, budget, &spec()).expect("plan builds"));
-        let via_spec = SimRequest::model(Model::TOW)
+        let cfgs: Vec<_> = Model::ALL.iter().map(|m| m.config()).collect();
+        let warmth = Arc::new(SampleWarmth::build(
+            &trace,
+            &wl,
+            budget,
+            &plan,
+            &spec(),
+            &cfgs,
+        ));
+        for m in Model::ALL {
+            let alone = SimRequest::model(m).insts(budget).sampled(spec()).run(&wl);
+            let via_plan = SimRequest::model(m)
+                .insts(budget)
+                .replay(Arc::clone(&trace))
+                .sampled_plan(Arc::clone(&plan));
+            let via_warmth = via_plan.clone().sample_warmth(Arc::clone(&warmth));
+            let alone = alone.to_json().to_json();
+            assert_eq!(alone, via_plan.run(&wl).to_json().to_json(), "{m} plan");
+            assert_eq!(alone, via_warmth.run(&wl).to_json().to_json(), "{m} warmth");
+        }
+    }
+
+    /// Run N at `budget` under `spec`, armed with warmth built for `cfgs`
+    /// at 20k instructions under `spec()`.
+    fn run_with_warmth(budget: u64, spec: SamplingSpec, cfgs: &[crate::MachineConfig]) {
+        let wl = workload("vpr");
+        let trace = Arc::new(capture(&wl, 20_000, DEFAULT_SLICE_INSTS).expect("encodable"));
+        let plan = build_plan(&trace, &wl, 20_000, &self::spec()).expect("plan builds");
+        let warmth = SampleWarmth::build(&trace, &wl, 20_000, &plan, &plan.spec, cfgs);
+        let _ = SimRequest::model(Model::N)
             .insts(budget)
-            .replay(Arc::clone(&trace))
-            .sampled(spec())
+            .sampled(spec)
+            .sample_warmth(Arc::new(warmth))
             .run(&wl);
-        let via_plan = SimRequest::model(Model::TOW)
-            .insts(budget)
-            .replay(trace)
-            .sampled_plan(Arc::clone(&plan))
-            .run(&wl);
-        assert_eq!(via_spec.to_json().to_json(), via_plan.to_json().to_json());
     }
 
     #[test]
@@ -522,6 +429,28 @@ mod tests {
             .faults(crate::FaultPlan::new(1))
             .sampled(spec())
             .run(&wl);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample warmth budget mismatch")]
+    fn sampled_rejects_warmth_built_at_another_budget() {
+        run_with_warmth(16_000, spec(), &[Model::N.config()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample warmth spec mismatch")]
+    fn sampled_rejects_warmth_built_under_another_spec() {
+        let other = SamplingSpec {
+            warmup: 3_000,
+            ..spec()
+        };
+        run_with_warmth(20_000, other, &[Model::N.config()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample warmth has no warming pass for N")]
+    fn sampled_rejects_warmth_without_a_pass_for_the_machine() {
+        run_with_warmth(20_000, spec(), &[Model::TOW.config()]);
     }
 
     #[test]
@@ -540,51 +469,5 @@ mod tests {
         let mut full = SimRequest::model(Model::N).insts(budget).run(&wl);
         full.store_log_hash = 0;
         assert_eq!(sampled.to_json().to_json(), full.to_json().to_json());
-    }
-}
-
-/// Ignored tuning harness: prints sampled-vs-full error for a grid of
-/// sampling specs. Run with
-/// `cargo test -p parrot-core probe_error_vs_warmup -- --ignored --nocapture`
-/// when retuning the fidelity-test or CI sampling constants.
-#[cfg(test)]
-mod probe {
-    use super::*;
-    use crate::models::Model;
-    use parrot_workloads::app_by_name;
-
-    #[test]
-    #[ignore]
-    fn probe_error_vs_warmup() {
-        for app in ["gcc", "swim", "crafty"] {
-            let wl = Workload::build(&app_by_name(app).expect("registered"));
-            let budget = 200_000;
-            for model in [Model::TOW, Model::N] {
-                let full = SimRequest::model(model).insts(budget).run(&wl);
-                for (interval, warmup, max_k) in [
-                    (10_000u64, 20_000u64, 4usize),
-                    (20_000, 40_000, 4),
-                    (20_000, 60_000, 8),
-                    (20_000, budget, 64),
-                ] {
-                    let spec = SamplingSpec {
-                        interval,
-                        warmup,
-                        max_k,
-                        ..SamplingSpec::default()
-                    };
-                    let s = SimRequest::model(model)
-                        .insts(budget)
-                        .sampled(spec)
-                        .run(&wl);
-                    let ipc_err = (s.ipc() - full.ipc()).abs() / full.ipc();
-                    let e_err = (s.energy - full.energy).abs() / full.energy;
-                    println!(
-                        "{app:8} {:4} iv={interval:6} warm={warmup:6} k<= {max_k} -> ipc_err {ipc_err:.4} energy_err {e_err:.4}",
-                        format!("{model:?}")
-                    );
-                }
-            }
-        }
     }
 }

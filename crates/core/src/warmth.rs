@@ -64,6 +64,18 @@ pub fn effective_warmup(cfg: &MachineConfig, spec: &SamplingSpec, iv_start: u64)
     warmup_for(cfg.trace.is_some(), spec, iv_start)
 }
 
+/// Instructions a sampled run of `cfg` simulates in detail under `plan`:
+/// each representative interval plus its [`effective_warmup`] prefix.
+pub fn detailed_insts(plan: &SamplePlan, cfg: &MachineConfig) -> u64 {
+    plan.clusters
+        .iter()
+        .map(|c| {
+            let iv = plan.intervals[c.rep];
+            effective_warmup(cfg, &plan.spec, iv.start) + iv.len
+        })
+        .sum()
+}
+
 fn warmup_for(has_trace: bool, spec: &SamplingSpec, iv_start: u64) -> u64 {
     let base = spec.warmup.min(iv_start);
     if !has_trace && base < iv_start {
@@ -182,38 +194,38 @@ impl SampleWarmth {
         }
     }
 
-    /// Whether these snapshots were built for the given request shape.
-    pub fn matches(&self, budget: u64, spec: &SamplingSpec) -> bool {
-        self.budget == budget && &self.spec == spec
-    }
-
-    /// Whether a warming pass applicable to `cfg` was run.
-    pub(crate) fn has_pass(&self, cfg: &MachineConfig) -> bool {
-        if cfg.trace.is_some() {
+    /// Panic unless these snapshots fit a sampled run of `cfg` at
+    /// `budget` under `spec`: the same policy as a mismatched plan.
+    pub(crate) fn assert_fits(&self, budget: u64, spec: &SamplingSpec, cfg: &MachineConfig) {
+        assert_eq!(self.budget, budget, "sample warmth budget mismatch");
+        assert_eq!(&self.spec, spec, "sample warmth spec mismatch");
+        let has_pass = if cfg.trace.is_some() {
             self.data_states.is_some()
         } else {
             self.passes.iter().any(|p| p.bpred == cfg.bpred)
-        }
+        };
+        assert!(
+            has_pass,
+            "sample warmth has no warming pass for {}",
+            cfg.name
+        );
     }
 
     /// The warmed start state for plan cluster `cluster` under machine
-    /// configuration `cfg`, if an applicable pass was run. Trace models
-    /// get data-only warmth (cold I-cache, cold predictor) — see the
-    /// module docs for why.
+    /// configuration `cfg`, which must pass [`SampleWarmth::assert_fits`].
+    /// Trace models get data-only warmth (cold I-cache, cold predictor) —
+    /// see the module docs for why.
     pub(crate) fn state_for(
         &self,
         cluster: usize,
         cfg: &MachineConfig,
-    ) -> Option<(MemHierarchy, HybridPredictor)> {
+    ) -> (MemHierarchy, HybridPredictor) {
         if cfg.trace.is_some() {
-            let mem = self.data_states.as_ref()?.get(cluster)?.clone();
-            Some((mem, HybridPredictor::new(cfg.bpred)))
+            let states = self.data_states.as_ref().expect("checked by assert_fits");
+            (states[cluster].clone(), HybridPredictor::new(cfg.bpred))
         } else {
-            self.passes
-                .iter()
-                .find(|p| p.bpred == cfg.bpred)
-                .and_then(|p| p.states.get(cluster))
-                .cloned()
+            let pass = self.passes.iter().find(|p| p.bpred == cfg.bpred);
+            pass.expect("checked by assert_fits").states[cluster].clone()
         }
     }
 
@@ -422,8 +434,6 @@ mod tests {
             "N and W share one bpred config; trace models use the data pass"
         );
         assert!(w.data_states.is_some());
-        assert!(w.matches(budget, &spec));
-        assert!(!w.matches(budget + 1, &spec));
         for (ci, c) in plan.clusters.iter().enumerate() {
             let iv = plan.intervals[c.rep];
             for cfg in &cfgs {
@@ -431,8 +441,8 @@ mod tests {
                     w.offset(ci, cfg),
                     iv.start - effective_warmup(cfg, &spec, iv.start)
                 );
-                assert!(w.has_pass(cfg));
-                let (mem, _) = w.state_for(ci, cfg).expect("state present");
+                w.assert_fits(budget, &spec, cfg);
+                let (mem, _) = w.state_for(ci, cfg);
                 if cfg.trace.is_some() {
                     // Data-only warmth never touches the I-side.
                     assert_eq!(mem.l1i.stats(), (0, 0), "trace warmth has a cold l1i");
