@@ -13,8 +13,6 @@
 //! $ parrot analyze gcc --json             # one app's full analysis report
 //! $ parrot lint-traces --all              # uop-IR lint + validation gate
 //! $ parrot soak --rates 0.01,0.1          # seeded fault-injection campaign
-//! $ parrot bench                          # record BENCH_cips.json baseline
-//! $ parrot bench --check                  # CI perf gate vs the baseline
 //! $ parrot capture gcc                    # write corpus/gcc.ptrace
 //! $ parrot capture --all --insts 500000   # capture the full corpus
 //! $ parrot replay gcc --verify            # replay a capture, diff vs live
@@ -69,7 +67,6 @@ fn main() {
         "analyze" => analyze(&p),
         "lint-traces" => lint_traces(&p),
         "soak" => soak(&p),
-        "bench" => bench(&p),
         "capture" => capture(&p),
         "replay" => replay(&p),
         "sample" => sample(&p),
@@ -334,70 +331,6 @@ fn soak(p: &cli::Parsed) -> i32 {
         0
     } else {
         eprintln!("soak FAILED: store-log divergence or unreconciled fault accounting");
-        1
-    }
-}
-
-/// Measure committed-instructions-per-second for every model with and
-/// without telemetry sinks. Default: rewrite the `BENCH_cips.json`
-/// baseline at the repository root (or `--out FILE`). With `--check`:
-/// leave the baseline untouched, write the fresh numbers to `--out FILE`
-/// if given, and exit nonzero when any model regressed more than the
-/// tolerance (default 10%) below the baseline — the CI perf gate.
-fn bench(p: &cli::Parsed) -> i32 {
-    use parrot_bench::cips;
-    let insts = flag(p.u64_value("--insts")).unwrap_or(cips::DEFAULT_BENCH_INSTS);
-    let tolerance = flag(p.f64_value("--tolerance")).unwrap_or(cips::REGRESSION_TOLERANCE);
-    let out = p.value("--out").map(std::path::PathBuf::from);
-    let fresh = cips::measure(insts);
-    println!("{}", fresh.markdown());
-    if !p.switch("--check") {
-        let path = out.unwrap_or_else(cips::baseline_path);
-        if let Err(e) = std::fs::write(&path, fresh.to_json().to_json_pretty()) {
-            eprintln!("bench: cannot write {}: {e}", path.display());
-            return 1;
-        }
-        parrot_telemetry::status!("bench: recorded baseline at {}", path.display());
-        return 0;
-    }
-    if let Some(path) = &out {
-        let _ = std::fs::write(path, fresh.to_json().to_json_pretty());
-        parrot_telemetry::status!("bench: fresh measurement written to {}", path.display());
-    }
-    let base_path = cips::baseline_path();
-    let baseline = std::fs::read_to_string(&base_path)
-        .ok()
-        .and_then(|t| parrot_telemetry::json::parse(&t).ok())
-        .as_ref()
-        .and_then(cips::BenchReport::from_json);
-    let Some(baseline) = baseline else {
-        eprintln!(
-            "bench: no readable baseline at {} (run `parrot bench` and commit it)",
-            base_path.display()
-        );
-        return 1;
-    };
-    if baseline.insts_per_run != fresh.insts_per_run {
-        eprintln!(
-            "bench: warning: baseline measured at {} insts/run, fresh at {} — \
-             comparing rates anyway",
-            baseline.insts_per_run, fresh.insts_per_run
-        );
-    }
-    let regs = cips::regressions(&baseline, &fresh, tolerance);
-    if regs.is_empty() {
-        println!(
-            "bench: PASS — no model regressed more than {:.0}% vs {}",
-            tolerance * 100.0,
-            base_path.display()
-        );
-        0
-    } else {
-        eprintln!("bench: FAIL — CIPS regressions vs {}:", base_path.display());
-        for r in &regs {
-            eprintln!("  {r}");
-        }
-        eprintln!("(intentional? re-record with `parrot bench` and commit BENCH_cips.json)");
         1
     }
 }

@@ -5,13 +5,16 @@
 //!
 //! Run with: `cargo run --release -p parrot-bench --bin sweepbench`
 //! (set `PARROT_INSTS` to change the per-run instruction budget, `--jobs`
-//! to change the parallel worker count, `PARROT_REPS` to change the
-//! repetitions per configuration — the best is recorded).
+//! to change the parallel worker count). Each configuration runs
+//! [`REPS`] times and the best is recorded.
 
 use parrot_bench::cli::{Telemetry, METRICS_INTERVAL, TRACE_CAP};
 use parrot_bench::{ResultSet, SweepConfig};
 use parrot_telemetry::json::Value;
 use parrot_telemetry::{metrics, profile, status, trace};
+
+/// Best-of repetitions per configuration.
+const REPS: u32 = 2;
 
 fn timed_sweep(insts: u64, jobs: usize, sinks: bool) -> f64 {
     if sinks {
@@ -49,11 +52,6 @@ fn main() {
         .map(|n| n.get() as u64)
         .unwrap_or(1);
     let par = env.jobs_value().max(2);
-    let reps: u32 = std::env::var("PARROT_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&r| r > 0)
-        .unwrap_or(2);
     let configs = [
         ("serial, no telemetry", 1usize, false),
         ("parallel, no telemetry", par, false),
@@ -62,9 +60,9 @@ fn main() {
     ];
     let mut timings = Vec::new();
     for (label, n, sinks) in configs {
-        status!("sweep: {label} (jobs={n}, insts={insts}, best of {reps})");
+        status!("sweep: {label} (jobs={n}, insts={insts}, best of {REPS})");
         let mut best = f64::INFINITY;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let secs = timed_sweep(insts, n, sinks);
             status!("  {secs:.2} s");
             best = best.min(secs);
@@ -84,7 +82,7 @@ fn main() {
         ("insts", Value::int(insts)),
         ("host_parallelism", Value::int(detected)),
         ("jobs_used", Value::int(par as u64)),
-        ("reps", Value::int(reps as u64)),
+        ("reps", Value::int(u64::from(REPS))),
         ("timings", Value::Arr(timings)),
     ]);
     let path = parrot_bench::timings_path();

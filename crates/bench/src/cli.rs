@@ -315,25 +315,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         ],
     },
     CommandSpec {
-        name: "bench",
-        positional: "",
-        summary: "CIPS baseline / CI perf gate",
-        flags: &[
-            FLAG_INSTS,
-            FlagSpec {
-                name: "--check",
-                value: None,
-                help: "gate against the committed baseline instead of rewriting it",
-            },
-            FlagSpec {
-                name: "--tolerance",
-                value: Some("T"),
-                help: "allowed fractional regression (default 0.10)",
-            },
-            FLAG_OUT,
-        ],
-    },
-    CommandSpec {
         name: "capture",
         positional: "<APP>",
         summary: "write .ptrace captures",

@@ -34,10 +34,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub mod cips;
 pub mod cli;
 pub mod figures;
-pub mod microbench;
 pub mod sample;
 pub mod serve_backend;
 pub mod soak;
