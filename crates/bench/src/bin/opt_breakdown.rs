@@ -10,19 +10,12 @@
 //! Run with: `cargo run --release -p parrot-bench --bin opt_breakdown`
 
 use parrot_opt::{Optimizer, OptimizerConfig};
-use parrot_trace::{construct_frame, SelectionConfig, TraceFrame, TraceSelector};
-use parrot_workloads::{app_by_name, ExecutionEngine, Workload};
+use parrot_trace::{construct_frame, select_candidates, SelectionConfig, TraceFrame};
+use parrot_workloads::{app_by_name, Workload};
 
 fn frames_for(app: &str, n: usize) -> Vec<TraceFrame> {
     let wl = Workload::build(&app_by_name(app).expect("registered app"));
-    let mut sel = TraceSelector::new(SelectionConfig::default());
-    let mut cands = Vec::new();
-    for (seq, d) in ExecutionEngine::new(&wl.program).take(n).enumerate() {
-        let kind = wl.program.inst(d.inst).kind;
-        sel.step(&d, &kind, seq as u64, &mut cands);
-    }
-    sel.flush(&mut cands);
-    cands
+    select_candidates(&wl.program, SelectionConfig::default(), n)
         .iter()
         .map(|c| construct_frame(c, &wl.decoded))
         .collect()

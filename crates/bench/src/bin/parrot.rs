@@ -471,8 +471,8 @@ fn analyze(p: &cli::Parsed) -> i32 {
 fn lint_traces(p: &cli::Parsed) -> i32 {
     use parrot_opt::{validate, GateDecision, Optimizer, OptimizerConfig};
     use parrot_telemetry::metrics;
-    use parrot_trace::{construct_frame, SelectionConfig, TraceSelector};
-    use parrot_workloads::{generate_program, ExecutionEngine};
+    use parrot_trace::{construct_frame, select_candidates, SelectionConfig};
+    use parrot_workloads::generate_program;
 
     let insts = flag(p.u64_value("--insts")).unwrap_or(30_000) as usize;
     let Some(profiles) = profiles_of(p) else {
@@ -490,13 +490,7 @@ fn lint_traces(p: &cli::Parsed) -> i32 {
         // is malformed the uop lints below still run, just without the
         // structural pass.
         let pa = parrot_analysis::analyze(&prog).ok();
-        let mut sel = TraceSelector::new(SelectionConfig::default());
-        let mut cands = Vec::new();
-        for (seq, d) in ExecutionEngine::new(&prog).take(insts).enumerate() {
-            let kind = prog.inst(d.inst).kind;
-            sel.step(&d, &kind, seq as u64, &mut cands);
-        }
-        sel.flush(&mut cands);
+        let cands = select_candidates(&prog, SelectionConfig::default(), insts);
         let mut optz = Optimizer::new(OptimizerConfig::full());
         let (mut validated, mut demoted, mut errors, mut uops) = (0u64, 0u64, 0u64, 0u64);
         let mut structural = 0u64;

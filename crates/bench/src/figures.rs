@@ -474,8 +474,8 @@ fn xval(_: &ResultSet) -> String {
 }
 
 /// The artifact preamble: title, methodology, then the sections read from
-/// the committed `results/` records (sweep timings, capture/replay,
-/// sampling, soak) and the serving note.
+/// the committed `results/` records (sampling, soak) and the serving
+/// note.
 fn preamble(insts: u64) -> String {
     let mut md = format!(
         "# EXPERIMENTS — paper vs. measured\n\n\
@@ -497,24 +497,6 @@ fn preamble(insts: u64) -> String {
     // A missing record renders as a hint saying how to produce it.
     let or_hint = |table: Option<String>, hint: &str| table.unwrap_or_else(|| format!("{hint}\n"));
     let sections = [
-        (
-            "Sweep wall-clock — serial vs parallel",
-            or_hint(
-                crate::sweep_timing_markdown(),
-                "No timing record yet: run `cargo run --release -p parrot-bench --bin\n\
-                 sweepbench` to measure serial vs `--jobs N` sweeps with and without\n\
-                 telemetry sinks.",
-            ),
-        ),
-        (
-            "Trace capture/replay — size and speedup",
-            or_hint(
-                crate::trace_replay_markdown(),
-                "No capture/replay record yet: run `cargo run --release -p parrot-bench\n\
-                 --bin tracebench` to capture every app into `corpus/` and measure\n\
-                 replay-vs-generate wall clock (see DESIGN.md §16).",
-            ),
-        ),
         (
             "Phase sampling — sampled-vs-full fidelity",
             or_hint(

@@ -414,21 +414,30 @@ impl ResultSet {
         Self::load_or_run_with(&SweepConfig::from_env())
     }
 
-    /// Load the cached sweep matching `cfg`'s fingerprint, or run it (in
-    /// parallel) and cache it at [`SweepConfig::cache_file`].
+    /// Load the cached sweep at [`SweepConfig::cache_file`], without
+    /// running anything. `None` if the file is missing, malformed, from
+    /// another [`CACHE_VERSION`] or carries another fingerprint.
+    pub fn load(cfg: &SweepConfig) -> Option<ResultSet> {
+        let text = std::fs::read_to_string(cfg.cache_file()).ok()?;
+        let runs = parse_report_cache(&text, cfg.fingerprint())?
+            .into_iter()
+            .map(|r| ((r.model.clone(), r.app.clone()), r))
+            .collect();
+        Some(ResultSet {
+            insts: cfg.insts_value(),
+            runs,
+        })
+    }
+
+    /// Load the cached sweep matching `cfg`'s fingerprint ([`Self::load`]),
+    /// or run it (in parallel) and cache it at [`SweepConfig::cache_file`].
     pub fn load_or_run_with(cfg: &SweepConfig) -> ResultSet {
+        if let Some(set) = Self::load(cfg) {
+            return set;
+        }
         let insts = cfg.insts_value();
         let fp = cfg.fingerprint();
         let path = cfg.cache_file();
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Some(runs) = parse_report_cache(&text, fp) {
-                let map = runs
-                    .into_iter()
-                    .map(|r| ((r.model.clone(), r.app.clone()), r))
-                    .collect();
-                return ResultSet { insts, runs: map };
-            }
-        }
         parrot_telemetry::status!(
             "no cached sweep at {} — running {} simulations on {} workers",
             path.display(),
@@ -630,8 +639,7 @@ fn env_root() -> String {
 }
 
 /// Schema version stamped into every `results/*.json` artifact
-/// (`soak.json`, `sampling.json`, `sweep_timings.json`,
-/// `trace_replay.json`). Bump when an artifact's layout changes;
+/// (`soak.json` and `sampling.json`). Bump when an artifact's layout changes;
 /// loaders — and therefore `reproduce` — refuse mismatched files
 /// instead of misreading them.
 pub const RESULTS_SCHEMA_VERSION: u64 = 1;
@@ -653,11 +661,6 @@ pub fn check_results_schema(v: &Value, what: &str) -> Option<()> {
     }
 }
 
-/// Where the `sweepbench` binary records measured sweep wall-clock numbers.
-pub fn timings_path() -> PathBuf {
-    PathBuf::from(env_root()).join("results/sweep_timings.json")
-}
-
 /// The conventional capture-corpus directory: `corpus/` under the
 /// repository root (`parrot capture --all` writes here, `parrot replay APP`
 /// and `parrot sweep --replay-dir` read from it).
@@ -669,141 +672,6 @@ pub fn corpus_dir() -> PathBuf {
 /// `<dir>/<app>.ptrace`.
 pub fn corpus_file(dir: &Path, app: &str) -> PathBuf {
     dir.join(format!("{app}.{FILE_EXT}"))
-}
-
-/// Where the `tracebench` binary records replay-vs-generate measurements.
-pub fn trace_timings_path() -> PathBuf {
-    PathBuf::from(env_root()).join("results/trace_replay.json")
-}
-
-/// Markdown table of the per-app capture sizes and replay-vs-generate
-/// wall-clock measurements recorded by the `tracebench` binary, or `None`
-/// when no record exists yet. Embedded into EXPERIMENTS.md by `reproduce`
-/// so the replay-speedup claim stays re-checkable.
-pub fn trace_replay_markdown() -> Option<String> {
-    let text = std::fs::read_to_string(trace_timings_path()).ok()?;
-    let v = parrot_telemetry::json::parse(&text).ok()?;
-    check_results_schema(&v, "results/trace_replay.json")?;
-    let insts = v.get("insts").as_u64()?;
-    let rows = v.get("apps").as_arr()?;
-    let mut md = String::new();
-    use std::fmt::Write as _;
-    writeln!(
-        md,
-        "Measured with `cargo run --release -p parrot-bench --bin tracebench`\n\
-         ({insts} committed instructions per app; every replayed stream and\n\
-         TOW report verified byte-identical to the live engine before timing;\n\
-         re-run it to refresh):\n"
-    )
-    .ok()?;
-    writeln!(
-        md,
-        "| app | capture size | bits/inst | generate | replay | stream speedup | sim speedup |"
-    )
-    .ok()?;
-    writeln!(md, "|---|---|---|---|---|---|---|").ok()?;
-    let mut bits = Vec::new();
-    let mut stream_sp = Vec::new();
-    let mut sim_sp = Vec::new();
-    for r in rows {
-        let app = r.get("app").as_str()?;
-        let bytes = r.get("bytes").as_u64()?;
-        let bpi = r.get("bits_per_inst").as_f64()?;
-        let gen_ms = r.get("generate_ms").as_f64()?;
-        let rep_ms = r.get("replay_ms").as_f64()?;
-        let sim_gen_ms = r.get("sim_generate_ms").as_f64()?;
-        let sim_rep_ms = r.get("sim_replay_ms").as_f64()?;
-        let ssp = if rep_ms > 0.0 { gen_ms / rep_ms } else { 0.0 };
-        let msp = if sim_rep_ms > 0.0 {
-            sim_gen_ms / sim_rep_ms
-        } else {
-            0.0
-        };
-        bits.push(bpi);
-        stream_sp.push(ssp);
-        sim_sp.push(msp);
-        writeln!(
-            md,
-            "| {app} | {:.1} KiB | {bpi:.2} | {gen_ms:.2} ms | {rep_ms:.2} ms | {ssp:.2}× | {msp:.2}× |",
-            bytes as f64 / 1024.0
-        )
-        .ok()?;
-    }
-    if !bits.is_empty() {
-        writeln!(
-            md,
-            "| **geomean** | | **{:.2}** | | | **{:.2}×** | **{:.2}×** |",
-            geo_mean(&bits),
-            geo_mean(&stream_sp),
-            geo_mean(&sim_sp)
-        )
-        .ok()?;
-    }
-    Some(md)
-}
-
-/// Markdown table of the sweep wall-clock timings recorded by the
-/// `sweepbench` binary (serial vs parallel, telemetry sinks off/on), or
-/// `None` when no record exists yet. Embedded into EXPERIMENTS.md by
-/// `reproduce` so the parallel-speedup claim stays re-checkable.
-pub fn sweep_timing_markdown() -> Option<String> {
-    let text = std::fs::read_to_string(timings_path()).ok()?;
-    let v = parrot_telemetry::json::parse(&text).ok()?;
-    check_results_schema(&v, "results/sweep_timings.json")?;
-    let insts = v.get("insts").as_u64()?;
-    let rows = v.get("timings").as_arr()?;
-    let mut md = String::new();
-    use std::fmt::Write as _;
-    let host = v
-        .get("host_parallelism")
-        .as_u64()
-        .map(|n| format!(" on a host with {n} detected core(s)"))
-        .unwrap_or_default();
-    let used = v
-        .get("jobs_used")
-        .as_u64()
-        .map(|n| format!(", parallel rows on {n} worker(s)"))
-        .unwrap_or_default();
-    let reps = v
-        .get("reps")
-        .as_u64()
-        .filter(|&r| r > 1)
-        .map(|r| format!(", best of {r}"))
-        .unwrap_or_default();
-    writeln!(
-        md,
-        "Measured with `cargo run --release -p parrot-bench --bin sweepbench`\n\
-         ({} runs at {insts} committed instructions each{host}{used}{reps};\n\
-         re-run it to refresh):\n",
-        all_apps().len() * Model::ALL.len()
-    )
-    .ok()?;
-    writeln!(md, "| configuration | jobs | wall-clock | vs serial |").ok()?;
-    writeln!(md, "|---|---|---|---|").ok()?;
-    let serial_no_sinks = rows
-        .iter()
-        .find(|r| r.get("jobs").as_u64() == Some(1) && r.get("sinks").as_bool() == Some(false))
-        .and_then(|r| r.get("secs").as_f64());
-    let serial_sinks = rows
-        .iter()
-        .find(|r| r.get("jobs").as_u64() == Some(1) && r.get("sinks").as_bool() == Some(true))
-        .and_then(|r| r.get("secs").as_f64());
-    for r in rows {
-        let label = r.get("label").as_str()?;
-        let jobs = r.get("jobs").as_u64()?;
-        let secs = r.get("secs").as_f64()?;
-        let base = if r.get("sinks").as_bool() == Some(true) {
-            serial_sinks
-        } else {
-            serial_no_sinks
-        };
-        let speedup = base
-            .filter(|b| secs > 0.0 && *b > 0.0)
-            .map(|b| format!("{:.2}×", b / secs))
-            .unwrap_or_else(|| "—".to_string());
-        writeln!(md, "| {label} | {jobs} | {secs:.2} s | {speedup} |").ok()?;
-    }
-    Some(md)
 }
 
 /// Column groups used by the per-suite figures: each suite plus the

@@ -14,7 +14,7 @@
 //! table EXPERIMENTS.md embeds; [`gate`] is the tolerance check behind
 //! `parrot sample --tol` and the CI sampling job.
 
-use crate::{env_root, SweepConfig};
+use crate::{env_root, SweepConfig, RESULTS_SCHEMA_VERSION};
 use parrot_core::{detailed_insts, Model, SamplingSpec};
 use parrot_energy::metrics::geo_mean;
 use parrot_telemetry::json::Value;
@@ -26,10 +26,6 @@ use std::time::Instant;
 /// Default per-suite geomean error tolerance for the `--tol` gate (3%,
 /// the paper-reproduction fidelity target at steady-state budgets).
 pub const DEFAULT_TOL: f64 = 0.03;
-
-/// Schema version of `results/sampling.json`. Bump on layout changes;
-/// mismatched files are treated as absent.
-pub const SCHEMA: u64 = 1;
 
 /// Relative errors below this floor are clamped before taking geomeans:
 /// sampled runs reproduce many apps exactly (error 0.0), and ln(0) would
@@ -126,7 +122,7 @@ impl SampleReport {
     /// The `results/sampling.json` document for this record.
     pub fn to_json(&self) -> Value {
         Value::obj([
-            ("schema_version", Value::int(SCHEMA)),
+            ("schema_version", Value::int(RESULTS_SCHEMA_VERSION)),
             ("insts", Value::int(self.insts)),
             ("interval", Value::int(self.spec.interval)),
             ("warmup", Value::int(self.spec.warmup)),
@@ -142,9 +138,9 @@ impl SampleReport {
     /// Parse a `results/sampling.json` document; `None` on malformed
     /// input or a schema-version mismatch.
     pub fn from_json(v: &Value) -> Option<SampleReport> {
-        if v.get("schema_version").as_u64()? != SCHEMA {
+        if v.get("schema_version").as_u64()? != RESULTS_SCHEMA_VERSION {
             eprintln!(
-                "results/sampling.json: schema_version mismatch (this build writes {SCHEMA}) — \
+                "results/sampling.json: schema_version mismatch (this build writes {RESULTS_SCHEMA_VERSION}) — \
                  refusing to read it; re-run `parrot sample` with --fresh"
             );
             return None;
@@ -420,7 +416,10 @@ mod tests {
     fn from_json_rejects_other_schema_versions() {
         let mut v = SampleReport::new(6_000, spec()).to_json();
         if let Value::Obj(m) = &mut v {
-            m.insert("schema_version".into(), Value::int(SCHEMA + 1));
+            m.insert(
+                "schema_version".into(),
+                Value::int(RESULTS_SCHEMA_VERSION + 1),
+            );
         }
         assert!(SampleReport::from_json(&v).is_none());
     }

@@ -24,8 +24,8 @@
 //! ```
 
 use parrot_analysis::ReuseClass;
-use parrot_trace::{SelectionConfig, TraceSelector};
-use parrot_workloads::{all_apps, generate_program, AppProfile, ExecutionEngine, Suite};
+use parrot_trace::{select_candidates, SelectionConfig};
+use parrot_workloads::{all_apps, generate_program, AppProfile, Suite};
 use std::collections::BTreeMap;
 
 /// Pinned committed-instruction budget per app: large enough for every
@@ -89,13 +89,7 @@ pub fn cross_validate_app(profile: &AppProfile) -> AppXval {
 
     // Dynamic side: stream the committed path through the trace selector
     // and charge each emitted candidate to its head block.
-    let mut sel = TraceSelector::new(SelectionConfig::default());
-    let mut cands = Vec::new();
-    for (seq, d) in ExecutionEngine::new(&prog).take(XVAL_INSTS).enumerate() {
-        let kind = prog.inst(d.inst).kind;
-        sel.step(&d, &kind, seq as u64, &mut cands);
-    }
-    sel.flush(&mut cands);
+    let cands = select_candidates(&prog, SelectionConfig::default(), XVAL_INSTS);
     let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
     for c in &cands {
         // Canonicalize to the containing block's start pc: the static

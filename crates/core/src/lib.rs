@@ -1,8 +1,8 @@
 //! # parrot-core
 //!
 //! The top of the PARROT reproduction stack: machine models (Table 3.1/3.2),
-//! the integrated dual-pipeline machine ([`Machine`]), the builder-style
-//! entry point ([`SimRequest`]), deterministic fault injection
+//! the integrated dual-pipeline machine behind the one entry point
+//! ([`SimRequest`]), deterministic fault injection
 //! ([`FaultPlan`]), and simulation reports ([`SimReport`]) feeding every
 //! figure of the evaluation (§4).
 //!
@@ -34,7 +34,6 @@ mod sampled;
 mod warmth;
 
 pub use faults::{FaultCounters, FaultInjector, FaultKind, FaultPlan, FaultReport};
-pub use machine::Machine;
 pub use models::{MachineConfig, Model, TraceConfig};
 pub use parrot_sampling::{build_plan, SamplePlan, SamplingSpec};
 pub use report::{OptReport, SimReport, TraceReport};

@@ -9,7 +9,7 @@
 //! cold pipeline, exactly matching the paper's atomic-commit semantics.
 
 use crate::faults::{FaultInjector, FaultKind};
-use crate::models::{MachineConfig, Model, TraceConfig};
+use crate::models::{MachineConfig, TraceConfig};
 use crate::report::{OptReport, SimReport, TraceReport};
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
 use parrot_isa::corrupt::fnv1a_u64;
@@ -146,7 +146,7 @@ impl TraceState {
 }
 
 /// One simulated machine instance bound to a workload.
-pub struct Machine<'w> {
+pub(crate) struct Machine<'w> {
     label: String,
     wl: &'w Workload,
     oracle: OracleStream<'w>,
@@ -184,52 +184,21 @@ pub struct Machine<'w> {
 }
 
 impl<'w> Machine<'w> {
-    /// Build a machine for one of the study's models over `wl`, simulating
-    /// `max_insts` committed instructions.
-    pub fn new(model: Model, wl: &'w Workload, max_insts: u64) -> Machine<'w> {
-        Self::from_config(model.config(), wl, max_insts)
-    }
-
-    /// Build a machine from an arbitrary configuration (ablations, design
-    /// studies, custom machines). The report's `model` field carries
+    /// Build a machine for `cfg` over `wl`, simulating `max_insts`
+    /// committed instructions from stream position `start` on, from cold
+    /// microarchitectural state. The report's `model` field carries
     /// `cfg.name`.
-    pub fn from_config(cfg: MachineConfig, wl: &'w Workload, max_insts: u64) -> Machine<'w> {
-        Self::from_config_faults(cfg, wl, max_insts, None)
-    }
-
-    /// As [`Machine::from_config`], optionally arming a fault injector
-    /// (enables trace-cache integrity tagging). Reached via
-    /// [`crate::SimRequest::faults`].
-    pub(crate) fn from_config_faults(
-        cfg: MachineConfig,
-        wl: &'w Workload,
-        max_insts: u64,
-        faults: Option<FaultInjector>,
-    ) -> Machine<'w> {
-        Self::from_config_source(cfg, wl, max_insts, faults, None)
-    }
-
-    /// As [`Machine::from_config_faults`], with the committed stream drawn
-    /// from a capture instead of the live engine when `replay` is set. The
-    /// caller ([`crate::SimRequest::run`]) must already have validated the
-    /// capture against `wl` and `max_insts`.
-    pub(crate) fn from_config_source(
-        cfg: MachineConfig,
-        wl: &'w Workload,
-        max_insts: u64,
-        faults: Option<FaultInjector>,
-        replay: Option<Arc<TraceFile>>,
-    ) -> Machine<'w> {
-        Self::from_config_window(cfg, wl, max_insts, faults, replay, 0)
-    }
-
-    /// As [`Machine::from_config_source`], but positioned `start` committed
-    /// instructions into the stream before simulation begins: the machine
-    /// simulates stream positions `[start, start + max_insts)` from cold
-    /// microarchitectural state. Phase sampling runs representatives this
-    /// way ([`crate::SimRequest::sampled`]); with a replay source the
-    /// reposition is O(slice) through the capture's index, while a live
-    /// engine must step to `start`.
+    ///
+    /// - `faults` arms a fault injector (and trace-cache integrity
+    ///   tagging); [`crate::SimRequest::faults`] reaches it.
+    /// - `replay` draws the committed stream from a capture instead of the
+    ///   live engine. The caller ([`crate::SimRequest::run`]) must already
+    ///   have validated the capture against `wl` and the window.
+    /// - `start > 0` positions the stream before simulation begins: phase
+    ///   sampling runs representatives this way
+    ///   ([`crate::SimRequest::sampled`]). With a replay source the
+    ///   reposition is O(slice) through the capture's index, while a live
+    ///   engine must step to `start`.
     pub(crate) fn from_config_window(
         cfg: MachineConfig,
         wl: &'w Workload,
@@ -315,7 +284,7 @@ impl<'w> Machine<'w> {
     }
 
     /// Run to completion and produce the report.
-    pub fn run(mut self) -> SimReport {
+    pub(crate) fn run(mut self) -> SimReport {
         self.run_loop(None);
         self.finish()
     }
@@ -1104,13 +1073,14 @@ impl<'w> Machine<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::Model;
     use parrot_workloads::app_by_name;
 
     #[test]
     #[should_panic(expected = "TON/gcc: simulation hit the cycle cap at cycle")]
     fn hitting_the_cycle_cap_panics_instead_of_truncating() {
         let wl = Workload::build(&app_by_name("gcc").expect("registered app"));
-        let mut m = Machine::new(Model::TON, &wl, 1_000);
+        let mut m = Machine::from_config_window(Model::TON.config(), &wl, 1_000, None, None, 0);
         m.now = m.oracle.remaining() * 400 + 5_000_000;
         let _ = m.run();
     }

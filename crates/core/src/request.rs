@@ -268,8 +268,8 @@ impl SimRequest {
             .faults
             .as_ref()
             .map(|p| p.injector_for(&self.cfg.name, wl.profile.name));
-        Machine::from_config_source(self.cfg.clone(), wl, self.insts, inj, self.replay.clone())
-            .run()
+        let replay = self.replay.clone();
+        Machine::from_config_window(self.cfg.clone(), wl, self.insts, inj, replay, 0).run()
     }
 }
 

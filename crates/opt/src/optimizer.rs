@@ -432,20 +432,16 @@ impl Optimizer {
 mod tests {
     use super::*;
     use crate::verify::check_equivalent_multi;
-    use parrot_trace::{construct_frame, SelectionConfig, TraceSelector};
-    use parrot_workloads::{all_apps, generate_program, AppProfile, ExecutionEngine, Suite};
+    use parrot_trace::{construct_frame, select_candidates, SelectionConfig};
+    use parrot_workloads::{all_apps, generate_program, AppProfile, Suite};
 
     fn frames_for(profile: &AppProfile, n: usize) -> Vec<TraceFrame> {
         let prog = generate_program(profile);
         let decoded = prog.decode_all();
-        let mut sel = TraceSelector::new(SelectionConfig::default());
-        let mut cands = Vec::new();
-        for (seq, d) in ExecutionEngine::new(&prog).take(n).enumerate() {
-            let kind = prog.inst(d.inst).kind;
-            sel.step(&d, &kind, seq as u64, &mut cands);
-        }
-        sel.flush(&mut cands);
-        cands.iter().map(|c| construct_frame(c, &decoded)).collect()
+        select_candidates(&prog, SelectionConfig::default(), n)
+            .iter()
+            .map(|c| construct_frame(c, &decoded))
+            .collect()
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use parrot_opt::passes::{self, PassStats};
 use parrot_opt::verify::check_equivalent_multi;
-use parrot_trace::{construct_frame, SelectionConfig, TraceSelector};
-use parrot_workloads::{generate_program, AppProfile, ExecutionEngine, Suite};
+use parrot_trace::{construct_frame, select_candidates, SelectionConfig};
+use parrot_workloads::{generate_program, AppProfile, Suite};
 
 type PassFn = fn(&mut Vec<parrot_isa::Uop>, &mut PassStats);
 
@@ -29,13 +29,7 @@ fn passes_list() -> Vec<(&'static str, PassFn)> {
 fn check_suite(suite: Suite, insts: usize) {
     let prog = generate_program(&AppProfile::suite_base(suite));
     let decoded = prog.decode_all();
-    let mut sel = TraceSelector::new(SelectionConfig::default());
-    let mut cands = Vec::new();
-    for (seq, d) in ExecutionEngine::new(&prog).take(insts).enumerate() {
-        let kind = prog.inst(d.inst).kind;
-        sel.step(&d, &kind, seq as u64, &mut cands);
-    }
-    sel.flush(&mut cands);
+    let cands = select_candidates(&prog, SelectionConfig::default(), insts);
     let all = passes_list();
     let mut checked = 0;
     for c in &cands {

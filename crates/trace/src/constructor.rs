@@ -76,20 +76,16 @@ pub fn construct_frame(cand: &TraceCandidate, decoded: &DecodedProgram) -> Trace
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::{SelectionConfig, TraceSelector};
-    use parrot_workloads::{generate_program, AppProfile, ExecutionEngine, Suite};
+    use crate::selection::{select_candidates, SelectionConfig};
+    use parrot_workloads::{generate_program, AppProfile, Suite};
 
     fn frames_from_stream(n: usize) -> (Vec<TraceFrame>, parrot_workloads::Program) {
         let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
         let decoded = prog.decode_all();
-        let mut sel = TraceSelector::new(SelectionConfig::default());
-        let mut cands = Vec::new();
-        for (seq, d) in ExecutionEngine::new(&prog).take(n).enumerate() {
-            let kind = prog.inst(d.inst).kind;
-            sel.step(&d, &kind, seq as u64, &mut cands);
-        }
-        sel.flush(&mut cands);
-        let frames = cands.iter().map(|c| construct_frame(c, &decoded)).collect();
+        let frames = select_candidates(&prog, SelectionConfig::default(), n)
+            .iter()
+            .map(|c| construct_frame(c, &decoded))
+            .collect();
         (frames, prog)
     }
 

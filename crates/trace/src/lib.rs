@@ -35,6 +35,7 @@ pub use constructor::construct_frame;
 pub use filter::{CounterFilter, FilterConfig};
 pub use predictor::{TracePredConfig, TracePredStats, TracePredictor};
 pub use selection::{
-    CandInst, SelectionConfig, SelectionStrategy, SelectorStats, TraceCandidate, TraceSelector,
+    select_candidates, CandInst, SelectionConfig, SelectionStrategy, SelectorStats, TraceCandidate,
+    TraceSelector,
 };
 pub use tid::Tid;

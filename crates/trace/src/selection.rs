@@ -7,7 +7,7 @@
 
 use crate::tid::Tid;
 use parrot_isa::{InstId, InstKind};
-use parrot_workloads::DynInst;
+use parrot_workloads::{DynInst, ExecutionEngine, Program};
 use std::collections::HashMap;
 
 /// How trace boundaries are chosen.
@@ -354,11 +354,29 @@ impl TraceSelector {
     }
 }
 
+/// Select traces offline: run the first `insts` committed instructions of
+/// `prog`'s live execution through a fresh [`TraceSelector`] and return
+/// every candidate, the flushed tail included. No machine is involved, so
+/// every candidate is emitted regardless of hotness.
+pub fn select_candidates(
+    prog: &Program,
+    cfg: SelectionConfig,
+    insts: usize,
+) -> Vec<TraceCandidate> {
+    let mut sel = TraceSelector::new(cfg);
+    let mut out = Vec::new();
+    for (seq, d) in ExecutionEngine::new(prog).take(insts).enumerate() {
+        sel.step(&d, &prog.inst(d.inst).kind, seq as u64, &mut out);
+    }
+    sel.flush(&mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use parrot_isa::Cond;
-    use parrot_workloads::{generate_program, AppProfile, DynInst, ExecutionEngine, Suite};
+    use parrot_workloads::{generate_program, AppProfile, DynInst, Suite};
 
     fn dyninst(pc: u64, taken: bool, next_pc: u64) -> DynInst {
         DynInst {
@@ -561,13 +579,7 @@ mod tests {
         // On a real application stream, every candidate starts where the
         // previous dynamic instruction ended and stays within uop capacity.
         let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
-        let mut sel = TraceSelector::new(SelectionConfig::default());
-        let mut out = Vec::new();
-        for (seq, d) in ExecutionEngine::new(&prog).take(30_000).enumerate() {
-            let kind = prog.inst(d.inst).kind;
-            sel.step(&d, &kind, seq as u64, &mut out);
-        }
-        sel.flush(&mut out);
+        let out = select_candidates(&prog, SelectionConfig::default(), 30_000);
         assert!(out.len() > 100);
         for c in &out {
             assert!(c.num_uops <= 64, "capacity violated: {}", c.num_uops);
@@ -591,7 +603,7 @@ mod tests {
 mod replay_tests {
     use super::*;
     use parrot_isa::Cond;
-    use parrot_workloads::{generate_program, AppProfile, ExecutionEngine, Suite};
+    use parrot_workloads::{generate_program, AppProfile, Suite};
 
     fn dyninst(pc: u64, taken: bool, next_pc: u64) -> parrot_workloads::DynInst {
         parrot_workloads::DynInst {
@@ -650,14 +662,8 @@ mod replay_tests {
     #[test]
     fn replay_mode_still_partitions_real_streams() {
         let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
-        let mut sel = TraceSelector::new(SelectionConfig::replay_style());
-        let mut out = Vec::new();
         let n = 20_000usize;
-        for (seq, d) in ExecutionEngine::new(&prog).take(n).enumerate() {
-            let kind = prog.inst(d.inst).kind;
-            sel.step(&d, &kind, seq as u64, &mut out);
-        }
-        sel.flush(&mut out);
+        let out = select_candidates(&prog, SelectionConfig::replay_style(), n);
         let total: usize = out.iter().map(|c| c.insts.len()).sum();
         assert_eq!(total, n, "every instruction in exactly one frame");
         assert!(out.iter().all(|c| c.num_uops <= 64));

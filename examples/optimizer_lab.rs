@@ -6,20 +6,14 @@
 
 use parrot_opt::verify::check_equivalent_multi;
 use parrot_opt::{Optimizer, OptimizerConfig};
-use parrot_trace::{construct_frame, SelectionConfig, TraceSelector};
-use parrot_workloads::{app_by_name, ExecutionEngine, Workload};
+use parrot_trace::{construct_frame, select_candidates, SelectionConfig};
+use parrot_workloads::{app_by_name, Workload};
 
 fn main() {
     let wl = Workload::build(&app_by_name("wupwise").expect("app"));
 
     // Collect trace candidates from the committed stream.
-    let mut selector = TraceSelector::new(SelectionConfig::default());
-    let mut cands = Vec::new();
-    for (seq, d) in ExecutionEngine::new(&wl.program).take(60_000).enumerate() {
-        let kind = wl.program.inst(d.inst).kind;
-        selector.step(&d, &kind, seq as u64, &mut cands);
-    }
-    selector.flush(&mut cands);
+    let cands = select_candidates(&wl.program, SelectionConfig::default(), 60_000);
 
     // Pick a juicy candidate: unrolled (joined) with a decent uop count.
     let cand = cands
