@@ -181,6 +181,8 @@ pub(crate) struct Machine<'w> {
     store_hash: u64,
     /// Number of store uops folded into `store_hash`.
     store_count: u64,
+    /// Idle cycles the loop jumped over ([`Machine::skip_idle`]).
+    skipped_cycles: u64,
 }
 
 impl<'w> Machine<'w> {
@@ -259,6 +261,7 @@ impl<'w> Machine<'w> {
             faults,
             store_hash: 0xcbf2_9ce4_8422_2325,
             store_count: 0,
+            skipped_cycles: 0,
             wl,
         }
     }
@@ -331,7 +334,8 @@ impl<'w> Machine<'w> {
     /// The one cycle loop behind [`Machine::run`] and
     /// [`Machine::run_segment`]: tick until the machine drains or `stop`
     /// (checked after every tick) returns true. Returns whether `stop`
-    /// ended the run.
+    /// ended the run. After a tick that changed nothing, the loop jumps
+    /// to the next cycle that can change something ([`Machine::skip_idle`]).
     ///
     /// # Panics
     /// Panics when the run reaches the cycle cap (`remaining·400 + 5M`
@@ -346,9 +350,12 @@ impl<'w> Machine<'w> {
         let _prof = profile::scope("machine.run");
         let cycle_cap = self.oracle.remaining() * 400 + 5_000_000;
         while !self.done() && self.now < cycle_cap {
-            self.tick();
+            let active = self.tick();
             if stop.as_mut().is_some_and(|f| f(self)) {
                 return true;
+            }
+            if !active {
+                self.skip_idle(cycle_cap);
             }
         }
         assert!(
@@ -368,30 +375,98 @@ impl<'w> Machine<'w> {
         self.cores.iter().map(|c| c.stats().committed_insts).sum()
     }
 
-    fn tick(&mut self) {
+    /// Jump from an idle cycle to the earliest cycle at which a
+    /// time-gated condition can flip (clamped to `cap`): a pending
+    /// completion or the divider freeing up on some core
+    /// ([`OooCore::next_wake`]), the front end's stall ending, or dispatch
+    /// unblocking. Nothing else changes while no tick does, so every cycle
+    /// before that one would repeat the idle tick; the cores add their
+    /// per-cycle stall counters for the skipped cycles in bulk.
+    ///
+    /// Debug builds step through the skipped cycles instead, and assert
+    /// that each changed nothing and that the bulk counters equal what
+    /// stepping added.
+    fn skip_idle(&mut self, cap: u64) {
+        let now = self.now;
+        let later = |t: u64| (t >= now).then_some(t);
+        let wake = self
+            .cores
+            .iter()
+            .filter_map(|c| c.next_wake(now))
+            .chain(later(self.frontend.resume_at()))
+            .chain(later(self.dispatch_blocked_until))
+            .fold(cap, u64::min);
+        if wake <= now {
+            return;
+        }
+        let n = wake - now;
+        self.skipped_cycles += n;
+        if cfg!(debug_assertions) {
+            let expected: Vec<_> = self.cores.iter().map(|c| c.idle_stats(n)).collect();
+            let witness = self.idle_witness();
+            for _ in 0..n {
+                let active = self.tick();
+                assert!(
+                    !active && self.idle_witness() == witness,
+                    "{}/{}: cycle {} changed state inside a skipped idle span \
+                     ending at {wake}",
+                    self.label,
+                    self.wl.profile.name,
+                    self.now - 1
+                );
+            }
+            for (c, e) in self.cores.iter().zip(&expected) {
+                assert_eq!(c.stats(), e, "bulk idle counters differ from stepping");
+            }
+        } else {
+            for c in &mut self.cores {
+                c.add_idle_cycles(n);
+            }
+            self.now = wake;
+        }
+    }
+
+    /// What any state-changing tick moves: every simulated activity emits
+    /// an energy event, and fetch moves the oracle cursor or the queue.
+    fn idle_witness(&self) -> (u64, u64, usize) {
+        let events = Event::ALL.iter().map(|e| self.acct.count(*e)).sum();
+        (events, self.oracle.cursor(), self.queue.len())
+    }
+
+    /// Simulate one cycle. Returns whether anything but the per-cycle
+    /// stall counters changed; a tick that returns false would repeat
+    /// unchanged until a time-gated condition flips.
+    fn tick(&mut self) -> bool {
         tev::set_clock(self.now);
         // Arm the sampled stage timers for 1-in-N ticks (see
         // telemetry::profile): stage guards below and inside the uarch core
         // and frontend are inert Cell reads on unarmed ticks.
         profile::cycle_tick();
+        let mut active = false;
         // Writeback → commit → issue on every core, then dispatch and fetch.
         for i in 0..self.cores.len() {
             let model = if i == 0 {
-                self.cold_model.clone()
+                &self.cold_model
             } else {
-                self.hot_model.clone()
+                &self.hot_model
             };
-            if let Some(c) = self.cores[i].writeback(self.now, &model, &mut self.acct) {
+            let core = &mut self.cores[i];
+            // A completion (or the divider freeing up) due now is activity.
+            active |= core.next_wake(self.now) == Some(self.now);
+            if let Some(c) = core.writeback(self.now, model, &mut self.acct) {
                 self.frontend.branch_resolved(c);
             }
-            self.cores[i].commit(self.now, &mut self.mem, &model, &mut self.acct);
-            self.cores[i].issue(self.now, &mut self.mem, &model, &mut self.acct);
+            active |= core
+                .commit(self.now, &mut self.mem, model, &mut self.acct)
+                .0
+                > 0;
+            active |= core.issue(self.now, &mut self.mem, model, &mut self.acct) > 0;
         }
         {
             let _stage = profile::stage(profile::Stage::Dispatch);
-            self.dispatch();
+            active |= self.dispatch();
         }
-        self.fetch();
+        active |= self.fetch();
         self.now += 1;
         if metrics::active() {
             let insts = self.committed_insts();
@@ -400,6 +475,7 @@ impl<'w> Machine<'w> {
                 self.publish_metrics(insts);
             }
         }
+        active
     }
 
     /// Publish the authoritative cumulative counters and record one metric
@@ -440,13 +516,16 @@ impl<'w> Machine<'w> {
             metrics::counter_set("replay:read", self.oracle.pulled());
         }
         metrics::counter_set("state_switches", self.switches);
+        metrics::counter_set("idle_cycles_skipped", self.skipped_cycles);
         metrics::gauge_set("energy", self.acct.total());
         metrics::snapshot(insts, self.now);
     }
 
-    fn dispatch(&mut self) {
+    /// Move uops from the fetch queue into the cores. Returns whether it
+    /// dispatched a uop or began a core switch.
+    fn dispatch(&mut self) -> bool {
         if self.now < self.dispatch_blocked_until {
-            return;
+            return false;
         }
         let split = self.cores.len() > 1;
         let mut dispatched = [0u32; 2];
@@ -476,7 +555,7 @@ impl<'w> Machine<'w> {
                 self.acct
                     .emit_n(&self.cold_model, Event::StateSwitchReg, SWITCH_REGS);
                 self.dispatch_blocked_until = self.now + SWITCH_PENALTY;
-                break;
+                return true;
             }
             let idx = if split && phys_side == Side::Hot {
                 1
@@ -500,28 +579,31 @@ impl<'w> Machine<'w> {
                 break;
             }
             let model = if idx == 0 {
-                self.cold_model.clone()
+                &self.cold_model
             } else {
-                self.hot_model.clone()
+                &self.hot_model
             };
-            self.cores[idx].dispatch(&d, &model, &mut self.acct);
+            self.cores[idx].dispatch(&d, model, &mut self.acct);
             self.queue.pop_front();
             dispatched[idx] += 1;
         }
+        dispatched != [0, 0]
     }
 
-    fn fetch(&mut self) {
+    /// Fetch one cycle's worth from the hot or the cold pipeline. Returns
+    /// false only when fetch could do nothing this cycle: the front end is
+    /// stalled, the queue is full or the stream is exhausted.
+    fn fetch(&mut self) -> bool {
         // Continue streaming an active hot run.
         if self.trace.as_ref().is_some_and(|t| t.hot_run.is_some()) {
             let _stage = profile::stage(profile::Stage::TraceCache);
-            self.deliver_hot();
-            return;
+            return self.deliver_hot();
         }
         if !self.frontend.ready(self.now) || self.queue.len() >= self.queue_cap {
-            return;
+            return false;
         }
         if self.oracle.exhausted() {
-            return;
+            return false;
         }
         // At a trace boundary (including an imminent capacity cut), the
         // fetch selector tries the hot pipeline.
@@ -540,7 +622,7 @@ impl<'w> Machine<'w> {
         };
         if self.oracle.cursor() >= self.hot_block_cursor && at_boundary && self.attempt_hot_entry()
         {
-            return;
+            return true;
         }
         // Cold pipeline fetch.
         let before = self.oracle.cursor();
@@ -575,6 +657,7 @@ impl<'w> Machine<'w> {
                 );
             }
         }
+        true
     }
 
     /// Try to enter the hot pipeline at the current trace boundary. Returns
@@ -919,9 +1002,15 @@ impl<'w> Machine<'w> {
         true
     }
 
-    fn deliver_hot(&mut self) {
-        let Some(ts) = &mut self.trace else { return };
-        let Some(run) = &mut ts.hot_run else { return };
+    /// Stream the active hot run into the queue. Returns whether it moved
+    /// a uop.
+    fn deliver_hot(&mut self) -> bool {
+        let Some(ts) = &mut self.trace else {
+            return false;
+        };
+        let Some(run) = &mut ts.hot_run else {
+            return false;
+        };
         let width = ts.cfg.hot_fetch_uops as usize;
         let side = if run.optimized {
             Side::HotOpt
@@ -956,6 +1045,7 @@ impl<'w> Machine<'w> {
                 self.phase_hot = false;
             }
         }
+        n > 0
     }
 
     fn finish(mut self) -> SimReport {
@@ -1083,5 +1173,22 @@ mod tests {
         let mut m = Machine::from_config_window(Model::TON.config(), &wl, 1_000, None, None, 0);
         m.now = m.oracle.remaining() * 400 + 5_000_000;
         let _ = m.run();
+    }
+
+    #[test]
+    fn idle_cycles_are_skipped_and_checked_in_debug_builds() {
+        // art misses to memory often, so whole spans of cycles wait on a
+        // load; in a debug build every skipped span is stepped and checked.
+        let wl = Workload::build(&app_by_name("art").expect("registered app"));
+        for model in [Model::N, Model::TOS] {
+            let mut m = Machine::from_config_window(model.config(), &wl, 20_000, None, None, 0);
+            m.run_loop(None);
+            assert!(
+                m.skipped_cycles > m.now / 10,
+                "{model:?}: {} of {} cycles skipped",
+                m.skipped_cycles,
+                m.now
+            );
+        }
     }
 }

@@ -5,20 +5,26 @@ use crate::{EnergyModel, Event, Unit};
 /// The timing models call [`EnergyAccount::emit`] for every activity; at the
 /// end of simulation [`EnergyAccount::finish_static`] adds the per-cycle
 /// clock and leakage energy. Breakdown by [`Unit`] reproduces Fig 4.11.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct EnergyAccount {
-    by_unit: Vec<f64>,
-    counts: Vec<u64>,
+    by_unit: [f64; Unit::ALL.len()],
+    counts: [u64; Event::COUNT],
     total: f64,
     static_done: bool,
+}
+
+impl Default for EnergyAccount {
+    fn default() -> EnergyAccount {
+        EnergyAccount::new()
+    }
 }
 
 impl EnergyAccount {
     /// Empty account.
     pub fn new() -> EnergyAccount {
         EnergyAccount {
-            by_unit: vec![0.0; Unit::ALL.len()],
-            counts: vec![0; Event::COUNT],
+            by_unit: [0.0; Unit::ALL.len()],
+            counts: [0; Event::COUNT],
             total: 0.0,
             static_done: false,
         }

@@ -59,12 +59,10 @@ impl Unit {
         Unit::Leakage,
     ];
 
-    /// Dense index for table storage.
+    /// Dense index for table storage: the declaration order, which is
+    /// also the order of [`Unit::ALL`].
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|u| *u == self)
-            .expect("unit in ALL")
+        self as usize
     }
 
     /// Short display label.

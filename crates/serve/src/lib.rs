@@ -51,6 +51,7 @@ use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -121,6 +122,10 @@ struct State<E> {
     cond: Condvar,
     shutdown: AtomicBool,
     conns: AtomicUsize,
+    /// Connection handlers waiting for their next connection.
+    idle_handlers: AtomicUsize,
+    /// Connection handler threads started so far.
+    handlers_started: AtomicUsize,
 }
 
 /// A running server. Dropping the handle without calling
@@ -148,9 +153,11 @@ impl<E: Executor> ServerHandle<E> {
         self.state.cache.stats()
     }
 
-    /// Stop accepting, drain nothing further, and join all threads.
-    /// Jobs still queued stay queued (and are dropped with the state);
-    /// the job a worker is currently executing finishes first.
+    /// Stop accepting, drain nothing further, and join the accept and
+    /// worker threads. Jobs still queued stay queued (and are dropped with
+    /// the state); the job a worker is currently executing finishes first.
+    /// Idle connection handlers end when the accept thread does; a busy
+    /// one ends after its connection.
     pub fn shutdown(self) {
         {
             // Under the queue lock, so a worker between its flag check and
@@ -191,6 +198,8 @@ pub fn serve<E: Executor>(cfg: ServerConfig, exec: E) -> io::Result<ServerHandle
         cond: Condvar::new(),
         shutdown: AtomicBool::new(false),
         conns: AtomicUsize::new(0),
+        idle_handlers: AtomicUsize::new(0),
+        handlers_started: AtomicUsize::new(0),
     });
 
     let mut threads = Vec::new();
@@ -222,7 +231,14 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
+/// Accept connections and hand each to an idle handler thread over a
+/// channel, starting a new handler only when none is idle. Every handler
+/// holds an open connection or is counted idle, so the `MAX_CONNS` gate
+/// also bounds the handler count. Returning drops the channel's sender,
+/// which ends the idle handlers.
 fn accept_loop<E: Executor>(listener: TcpListener, state: Arc<State<E>>) {
+    let (handoff, rx) = mpsc::channel::<TcpStream>();
+    let rx = Arc::new(Mutex::new(rx));
     loop {
         let accepted = listener.accept();
         // Re-checked after every accept: on shutdown the accepted
@@ -247,18 +263,48 @@ fn accept_loop<E: Executor>(listener: TcpListener, state: Arc<State<E>>) {
                     continue;
                 }
                 state.conns.fetch_add(1, Ordering::AcqRel);
-                let state = Arc::clone(&state);
-                // Connections are short-lived (one request, close); the
-                // MAX_CONNS gate above bounds the thread count.
-                thread::spawn(move || {
-                    handle_conn(&state, &mut conn);
-                    state.conns.fetch_sub(1, Ordering::AcqRel);
-                });
+                let claimed = state
+                    .idle_handlers
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                    .is_ok();
+                if claimed {
+                    // The claimed handler is waiting on the channel (or about
+                    // to): the connection is picked up without a new thread.
+                    let _ = handoff.send(conn);
+                } else {
+                    state.handlers_started.fetch_add(1, Ordering::AcqRel);
+                    let state = Arc::clone(&state);
+                    let rx = Arc::clone(&rx);
+                    thread::spawn(move || handler_loop(&state, conn, &rx));
+                }
             }
             // A real accept error (out of file descriptors, say): back
             // off instead of spinning on it.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
+    }
+}
+
+/// Serve `conn`, then every connection handed over the channel, until
+/// the accept loop drops the sender. Connections are short-lived (one
+/// request, close).
+fn handler_loop<E: Executor>(
+    state: &State<E>,
+    mut conn: TcpStream,
+    rx: &Mutex<Receiver<TcpStream>>,
+) {
+    loop {
+        handle_conn(state, &mut conn);
+        // Counted idle before the connection closes, so a client's next
+        // connection, opened once it reads this reply's end, finds this
+        // handler idle.
+        state.idle_handlers.fetch_add(1, Ordering::AcqRel);
+        state.conns.fetch_sub(1, Ordering::AcqRel);
+        drop(conn);
+        conn = match rx.lock().unwrap().recv() {
+            Ok(next) => next,
+            Err(_) => return,
+        };
     }
 }
 
@@ -855,6 +901,21 @@ mod tests {
         assert!(
             took < Duration::from_millis(400),
             "100 healthz requests took {took:?}"
+        );
+        h.shutdown();
+    }
+
+    #[test]
+    fn sequential_requests_reuse_one_handler_thread() {
+        let h = serve(test_config(), Stub::new(Duration::ZERO)).unwrap();
+        for _ in 0..100 {
+            let (s, _, _) = get(h.addr(), "/v1/healthz");
+            assert_eq!(s, 200);
+        }
+        let started = h.state.handlers_started.load(Ordering::Acquire);
+        assert!(
+            started <= 2,
+            "100 sequential requests started {started} handlers"
         );
         h.shutdown();
     }

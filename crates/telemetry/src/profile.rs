@@ -22,7 +22,10 @@
 //! 1-in-[`STAGE_STRIDE`] ticks; [`stage`] guards are inert single-`Cell`
 //! reads on unarmed ticks and real timers on armed ones. Reported stage
 //! totals are estimates (sampled time × stride, marked `~` in the report);
-//! per-stage histograms and max are over the sampled entries.
+//! per-stage histograms and max are over the sampled entries. Stage times
+//! are exclusive: a stage entered inside another pauses its parent (a
+//! small thread-local stack of open stages), so the optimizer running
+//! inside a trace-cache lookup counts once, as optimizer time.
 //!
 //! # Flamegraphs
 //!
@@ -498,6 +501,9 @@ thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static STAGE_ARMED: Cell<bool> = const { Cell::new(false) };
     static STAGE_CTR: Cell<u32> = const { Cell::new(0) };
+    /// Per open timed stage, innermost last: the time its nested stages
+    /// took, which its own time excludes.
+    static STAGE_NESTED_NS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static PROFILER: RefCell<Option<Profiler>> = const { RefCell::new(None) };
 }
 
@@ -589,9 +595,17 @@ impl Drop for StageScope {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos() as u64;
+            let nested = STAGE_NESTED_NS.with(|st| {
+                let mut st = st.borrow_mut();
+                let nested = st.pop().unwrap_or(0);
+                if let Some(parent) = st.last_mut() {
+                    *parent += ns;
+                }
+                nested
+            });
             PROFILER.with(|cell| {
                 if let Some(p) = cell.borrow_mut().as_mut() {
-                    p.record_stage(self.stage, ns);
+                    p.record_stage(self.stage, ns.saturating_sub(nested));
                 }
             });
         }
@@ -599,10 +613,14 @@ impl Drop for StageScope {
 }
 
 /// Time a cycle-loop stage when the sampler armed this tick (see
-/// [`cycle_tick`]); a single `Cell` read otherwise.
+/// [`cycle_tick`]); a single `Cell` read otherwise. A stage opened while
+/// another is open pauses it: the outer stage's time excludes the inner's.
 #[inline]
 pub fn stage(s: Stage) -> StageScope {
     let armed = STAGE_ARMED.with(|a| a.get());
+    if armed {
+        STAGE_NESTED_NS.with(|st| st.borrow_mut().push(0));
+    }
     StageScope {
         stage: s,
         start: if armed { Some(Instant::now()) } else { None },
@@ -724,6 +742,33 @@ mod tests {
         assert!(report.contains("exec"));
         let folded = p.collapsed();
         assert!(folded.contains("cycle-stages;exec "));
+    }
+
+    #[test]
+    fn nested_stages_are_exclusive() {
+        install(Profiler::new());
+        cycle_tick();
+        let wall = Instant::now();
+        {
+            let _outer = stage(Stage::TraceCache);
+            let _inner = stage(Stage::Optimizer);
+            std::thread::sleep(Duration::from_millis(3));
+        }
+        let wall = wall.elapsed();
+        let p = take().unwrap();
+        let (_, outer, _) = p.stage_stats(Stage::TraceCache).unwrap();
+        let (_, inner, _) = p.stage_stats(Stage::Optimizer).unwrap();
+        // The sleep counts once, under the inner stage; the rows add up to
+        // no more than the wall time of the outer stage.
+        assert!(inner >= Duration::from_millis(3), "inner {inner:?}");
+        assert!(
+            outer < inner,
+            "outer {outer:?} must exclude inner {inner:?}"
+        );
+        assert!(
+            outer + inner <= wall,
+            "{outer:?} + {inner:?} exceeds {wall:?}"
+        );
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl TraceCache {
     fn set_range_pc(&self, start_pc: u64) -> std::ops::Range<usize> {
         let mut x = start_pc.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^= x >> 29;
-        let set = (x % u64::from(self.cfg.sets)) as usize;
+        let set = (x & (u64::from(self.cfg.sets) - 1)) as usize;
         let base = set * self.cfg.ways as usize;
         base..base + self.cfg.ways as usize
     }

@@ -84,12 +84,16 @@ impl CounterFilter {
         &self.cfg
     }
 
+    /// First entry of the set `key` maps to (`sets` is a power of two).
+    fn set_base(&self, key: u64) -> usize {
+        (key & (u64::from(self.cfg.sets) - 1)) as usize * self.cfg.ways as usize
+    }
+
     /// Record one occurrence of `key`; returns the updated count.
     /// A brand-new or evicted-and-refetched key starts at 1.
     pub fn bump(&mut self, key: u64) -> u32 {
         self.tick += 1;
-        let set = (key % u64::from(self.cfg.sets)) as usize;
-        let base = set * self.cfg.ways as usize;
+        let base = self.set_base(key);
         let ways = &mut self.entries[base..base + self.cfg.ways as usize];
         if let Some(e) = ways.iter_mut().find(|e| e.key == key) {
             e.count = e.count.saturating_add(1);
@@ -138,8 +142,7 @@ impl CounterFilter {
 
     /// Current count for `key` (0 if not resident).
     pub fn count(&self, key: u64) -> u32 {
-        let set = (key % u64::from(self.cfg.sets)) as usize;
-        let base = set * self.cfg.ways as usize;
+        let base = self.set_base(key);
         self.entries[base..base + self.cfg.ways as usize]
             .iter()
             .find(|e| e.key == key)
@@ -157,8 +160,7 @@ impl CounterFilter {
 
     /// Reset the counter for `key` (e.g. after acting on qualification).
     pub fn reset(&mut self, key: u64) {
-        let set = (key % u64::from(self.cfg.sets)) as usize;
-        let base = set * self.cfg.ways as usize;
+        let base = self.set_base(key);
         if let Some(e) = self.entries[base..base + self.cfg.ways as usize]
             .iter_mut()
             .find(|e| e.key == key)

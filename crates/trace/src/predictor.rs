@@ -103,7 +103,12 @@ impl TracePredictor {
     }
 
     fn index(&self) -> usize {
-        (mix(self.hist()) % u64::from(self.cfg.entries)) as usize
+        self.slot(self.hist())
+    }
+
+    /// Table slot of a history (`entries` is a power of two).
+    fn slot(&self, hist: u64) -> usize {
+        (mix(hist) & (u64::from(self.cfg.entries) - 1)) as usize
     }
 
     /// Predict the next trace from the current path history; `None` when
@@ -139,7 +144,7 @@ impl TracePredictor {
                 Self::hist_of([self.last[1], k], run)
             }
         };
-        let idx = (mix(hist) % u64::from(self.cfg.entries)) as usize;
+        let idx = self.slot(hist);
         if let Some(e) = &mut self.table[idx] {
             if e.tag == hist {
                 if e.conf > 0 {
@@ -152,7 +157,7 @@ impl TracePredictor {
     }
 
     fn lookup(&mut self, hist: u64) -> Option<Tid> {
-        let idx = (mix(hist) % u64::from(self.cfg.entries)) as usize;
+        let idx = self.slot(hist);
         let e = self.table[idx]?;
         if e.tag == hist && e.conf >= self.cfg.confidence {
             self.stats.predictions += 1;

@@ -92,7 +92,11 @@ impl HybridPredictor {
     }
 
     fn idx(&self, pc: u64) -> usize {
-        ((pc >> 1) % u64::from(self.cfg.entries)) as usize
+        ((pc >> 1) & (u64::from(self.cfg.entries) - 1)) as usize
+    }
+
+    fn btb_idx(&self, pc: u64) -> usize {
+        (pc & (u64::from(self.cfg.btb_entries) - 1)) as usize
     }
 
     fn gidx(&self, pc: u64) -> usize {
@@ -102,9 +106,10 @@ impl HybridPredictor {
 
     /// Predict the direction of the conditional branch at `pc`.
     pub fn predict(&self, pc: u64) -> bool {
-        let b = self.bimodal[self.idx(pc)] >= 2;
+        let i = self.idx(pc);
+        let b = self.bimodal[i] >= 2;
         let g = self.gshare[self.gidx(pc)] >= 2;
-        if self.chooser[self.idx(pc)] >= 2 {
+        if self.chooser[i] >= 2 {
             g
         } else {
             b
@@ -127,7 +132,7 @@ impl HybridPredictor {
 
     /// Look up the target of a taken control transfer at `pc`.
     pub fn btb_lookup(&self, pc: u64) -> Option<u64> {
-        let e = self.btb[(pc % u64::from(self.cfg.btb_entries)) as usize];
+        let e = self.btb[self.btb_idx(pc)];
         if e.0 == pc {
             Some(e.1)
         } else {
@@ -137,7 +142,7 @@ impl HybridPredictor {
 
     /// Install/refresh a BTB entry.
     pub fn btb_update(&mut self, pc: u64, target: u64) {
-        let i = (pc % u64::from(self.cfg.btb_entries)) as usize;
+        let i = self.btb_idx(pc);
         self.btb[i] = (pc, target);
     }
 

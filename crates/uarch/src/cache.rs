@@ -63,6 +63,10 @@ pub struct Cache {
     tick: u64,
     hits: u64,
     misses: u64,
+    /// `log2(line_bytes)`: an address shifted right by this is its line.
+    line_shift: u32,
+    /// `sets - 1`: a line masked by this is its set.
+    set_mask: u64,
 }
 
 impl Cache {
@@ -84,6 +88,8 @@ impl Cache {
             tick: 0,
             hits: 0,
             misses: 0,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: u64::from(cfg.sets) - 1,
         }
     }
 
@@ -93,12 +99,11 @@ impl Cache {
     }
 
     fn set_of(&self, addr: u64) -> usize {
-        let line = addr / u64::from(self.cfg.line_bytes);
-        (line % u64::from(self.cfg.sets)) as usize
+        (self.tag_of(addr) & self.set_mask) as usize
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / u64::from(self.cfg.line_bytes)
+        addr >> self.line_shift
     }
 
     /// Access `addr`; returns `true` on hit. Misses allocate (fill) the line,

@@ -73,6 +73,12 @@ impl ColdFrontEnd {
         self.waiting_on_branch
     }
 
+    /// The cycle a redirect, miss or bubble stall ends (fetch may be
+    /// ready earlier if no stall is pending).
+    pub fn resume_at(&self) -> u64 {
+        self.resume_at
+    }
+
     /// May the front end (cold or hot) fetch at `cycle`? False while a
     /// mispredicted branch is unresolved or a redirect/miss stall is
     /// pending.
