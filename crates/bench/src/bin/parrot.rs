@@ -640,10 +640,6 @@ fn replay(p: &cli::Parsed) -> i32 {
         return 1;
     };
     let wl = Workload::build(&profile);
-    if let Err(e) = trace.check_source(&wl) {
-        eprintln!("replay: {e}");
-        return 1;
-    }
     let insts = flag(p.u64_value("--insts")).unwrap_or_else(|| trace.inst_count());
     let model = p.value("--model").map(parse_model).unwrap_or(Model::TOW);
     let mut req = SimRequest::model(model)

@@ -15,7 +15,8 @@ use parrot_energy::{EnergyAccount, EnergyModel, Event};
 use parrot_isa::corrupt::fnv1a_u64;
 use parrot_isa::{ExecClass, Uop, UopKind};
 use parrot_opt::{GateDecision, Optimizer};
-use parrot_telemetry::{metrics, profile, trace as tev};
+use parrot_telemetry::profile::{self, Stage};
+use parrot_telemetry::{metrics, trace as tev};
 use parrot_trace::{
     construct_frame, CounterFilter, OptLevel, TraceCache, TraceCandidate, TracePredictor,
     TraceSelector,
@@ -438,10 +439,11 @@ impl<'w> Machine<'w> {
     /// unchanged until a time-gated condition flips.
     fn tick(&mut self) -> bool {
         tev::set_clock(self.now);
-        // Arm the sampled stage timers for 1-in-N ticks (see
-        // telemetry::profile): stage guards below and inside the uarch core
-        // and frontend are inert Cell reads on unarmed ticks.
-        profile::cycle_tick();
+        // Every stage boundary of the cycle loop is marked here, in this
+        // file: the sampled stage clock (telemetry::profile) charges each
+        // interval to the stage open before it, so the stages partition
+        // the tick.
+        profile::begin_tick(Stage::Exec);
         let mut active = false;
         // Writeback → commit → issue on every core, then dispatch and fetch.
         for i in 0..self.cores.len() {
@@ -462,19 +464,18 @@ impl<'w> Machine<'w> {
                 > 0;
             active |= core.issue(self.now, &mut self.mem, model, &mut self.acct) > 0;
         }
-        {
-            let _stage = profile::stage(profile::Stage::Dispatch);
-            active |= self.dispatch();
-        }
+        profile::enter(Stage::Dispatch);
+        active |= self.dispatch();
         active |= self.fetch();
         self.now += 1;
         if metrics::active() {
             let insts = self.committed_insts();
             if metrics::due(insts) {
-                let _stage = profile::stage(profile::Stage::Accounting);
+                profile::enter(Stage::Accounting);
                 self.publish_metrics(insts);
             }
         }
+        profile::end_tick();
         active
     }
 
@@ -596,9 +597,10 @@ impl<'w> Machine<'w> {
     fn fetch(&mut self) -> bool {
         // Continue streaming an active hot run.
         if self.trace.as_ref().is_some_and(|t| t.hot_run.is_some()) {
-            let _stage = profile::stage(profile::Stage::TraceCache);
+            profile::enter(Stage::TraceCache);
             return self.deliver_hot();
         }
+        profile::enter(Stage::Frontend);
         if !self.frontend.ready(self.now) || self.queue.len() >= self.queue_cap {
             return false;
         }
@@ -624,7 +626,8 @@ impl<'w> Machine<'w> {
         {
             return true;
         }
-        // Cold pipeline fetch.
+        // Cold pipeline fetch (a failed hot entry left the trace cache open).
+        profile::enter(Stage::Frontend);
         let before = self.oracle.cursor();
         self.frontend.fetch_cycle(
             self.now,
@@ -644,6 +647,8 @@ impl<'w> Machine<'w> {
         }
         let after = self.oracle.cursor();
         if let Some(ts) = &mut self.trace {
+            // Selection, the hot filter and construction.
+            profile::enter(Stage::TraceCache);
             ts.cold_insts += after - before;
             for seq in before..after {
                 let d = self.oracle.get(seq).expect("recently consumed");
@@ -670,7 +675,7 @@ impl<'w> Machine<'w> {
     /// with the branch predictor is chosen. Divergence from the committed
     /// path aborts the atomic trace.
     fn attempt_hot_entry(&mut self) -> bool {
-        let _stage = profile::stage(profile::Stage::TraceCache);
+        profile::enter(Stage::TraceCache);
         let now = self.now;
         let Some(next) = self.oracle.peek(0) else {
             return false;
@@ -892,7 +897,7 @@ impl<'w> Machine<'w> {
                     .as_mut()
                     .and_then(|inj| inj.roll(FaultKind::CorruptRewrite));
                 let mut mutated = false;
-                let _stage = profile::stage(profile::Stage::Optimizer);
+                profile::enter(Stage::Optimizer);
                 let outcome = match sabotage {
                     // Corrupt the rewrite after the pass pipeline, right in
                     // front of the mandatory translation-validation gate.
@@ -910,6 +915,7 @@ impl<'w> Machine<'w> {
                     ),
                     None => optz.optimize(&mut f, now),
                 };
+                profile::enter(Stage::TraceCache);
                 if mutated {
                     let inj = self.faults.as_mut().expect("sabotage was rolled");
                     inj.note_injected(FaultKind::CorruptRewrite);

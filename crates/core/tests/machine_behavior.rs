@@ -316,3 +316,27 @@ fn models_without_trace_cache_ignore_trace_faults() {
     assert!(fr.reconciles());
     assert_eq!(r.insts, 20_000);
 }
+
+#[test]
+fn profiled_runs_time_every_stage_they_run() {
+    use parrot_telemetry::profile::{self, Profiler, Stage};
+    let timed = |req: SimRequest, app: &str| {
+        profile::install(Profiler::new());
+        req.run(&wl(app));
+        let p = profile::take().expect("profiler installed");
+        Stage::ALL.map(|s| p.stage_stats(s).is_some_and(|(n, _, _)| n > 0))
+    };
+    // The clock times the optimizer on 1 tick in 64. Eager filters make it
+    // run about 460 times here, so some call lands on a timed tick.
+    let mut eager = Model::TOW.config();
+    let t = eager.trace.as_mut().expect("trace");
+    t.hot_filter.threshold = 2;
+    t.blazing_filter.threshold = 2;
+    let [frontend, trace_cache, optimizer, exec, dispatch, _] =
+        timed(SimRequest::config(eager).insts(400_000), "gcc");
+    assert!(exec && dispatch && trace_cache && optimizer && frontend);
+    let [frontend, trace_cache, optimizer, exec, dispatch, _] =
+        timed(SimRequest::model(Model::N).insts(20_000), "swim");
+    assert!(frontend && exec && dispatch);
+    assert!(!trace_cache && !optimizer, "N has no trace cache");
+}

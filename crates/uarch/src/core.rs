@@ -12,7 +12,6 @@
 use crate::cache::{MemHierarchy, ServicedBy};
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
 use parrot_isa::{ExecClass, Reg, Uop};
-use parrot_telemetry::profile;
 
 /// Per-class execution port counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,7 +369,6 @@ impl OooCore {
         model: &EnergyModel,
         acct: &mut EnergyAccount,
     ) -> Option<u64> {
-        let _stage = profile::stage(profile::Stage::Exec);
         let bucket = (now as usize) % BUCKETS;
         let mut resolved = None;
         // Take the bucket to appease the borrow checker; it is re-filled empty.
@@ -409,7 +407,6 @@ impl OooCore {
         acct: &mut EnergyAccount,
     ) -> (u32, u32) {
         let _ = now;
-        let _stage = profile::stage(profile::Stage::Exec);
         let mut uops = 0;
         let mut insts = 0;
         while self.count > 0 && uops < self.cfg.commit_width {
@@ -466,7 +463,6 @@ impl OooCore {
         model: &EnergyModel,
         acct: &mut EnergyAccount,
     ) -> u32 {
-        let _stage = profile::stage(profile::Stage::Exec);
         self.stats.issue_cycles += 1;
         if self.iq.is_empty() {
             self.stats.iq_empty_cycles += 1;

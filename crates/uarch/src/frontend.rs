@@ -13,7 +13,6 @@ use crate::core::{CoreConfig, DispatchUop};
 use crate::oracle::OracleStream;
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
 use parrot_isa::InstKind;
-use parrot_telemetry::profile;
 use parrot_workloads::Workload;
 use std::collections::VecDeque;
 
@@ -128,7 +127,6 @@ impl ColdFrontEnd {
         acct: &mut EnergyAccount,
         out: &mut VecDeque<DispatchUop>,
     ) {
-        let _stage = profile::stage(profile::Stage::Frontend);
         if now < self.resume_at || self.waiting_on_branch {
             return;
         }

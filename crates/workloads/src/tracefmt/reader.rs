@@ -28,13 +28,12 @@ struct Event {
 
 /// Streaming decoder over a captured trace.
 ///
-/// Construction verifies the trace's source fingerprint against the
-/// workload, so a cursor can only exist for the exact program that was
-/// captured. The hot-path [`ReplayCursor::next_inst`] is infallible — every
-/// container-level corruption is rejected at [`TraceFile::parse`] time by
-/// checksums, so a decode failure past that point means the file was
-/// hand-crafted; use [`ReplayCursor::try_next`] or [`decode_all`] when the
-/// input is untrusted and a structured [`TraceError`] is required.
+/// Construction runs [`TraceFile::check_source`], which binds the trace to
+/// the workload and decodes the whole file once, so a cursor can only exist
+/// for a file that decodes against the exact program that was captured.
+/// Past that point no slice can fail to decode, and the hot-path
+/// [`ReplayCursor::next_inst`] fails only past the end of the capture;
+/// [`ReplayCursor::try_next`] reports that as a structured [`TraceError`].
 ///
 /// ```
 /// use parrot_workloads::tracefmt::{capture, ReplayCursor};
@@ -58,10 +57,6 @@ pub struct ReplayCursor<'p> {
     /// bounding memory at one slice regardless of capture length.
     buf: Vec<DynInst>,
     buf_pos: usize,
-    /// Decoder state after the buffered slice, checked against the next
-    /// slice's index restart on sequential advance.
-    end_id: u32,
-    end_depth: u64,
     /// Per-stream previous effective address (reset per slice).
     last_addr: Vec<u64>,
     /// Total instructions emitted.
@@ -69,10 +64,10 @@ pub struct ReplayCursor<'p> {
 }
 
 impl<'p> ReplayCursor<'p> {
-    /// Open a cursor at the start of the capture. Fails with
-    /// [`TraceError::SourceMismatch`] if the trace was not captured from
-    /// `wl`, or [`TraceError::Malformed`] if the first slice's metadata is
-    /// inconsistent.
+    /// Open a cursor at the start of the capture. Fails with the error of
+    /// [`TraceFile::check_source`]: [`TraceError::SourceMismatch`] if the
+    /// trace was not captured from `wl`, or [`TraceError::Malformed`] if
+    /// some slice does not decode.
     pub fn new(trace: Arc<TraceFile>, wl: &'p Workload) -> Result<ReplayCursor<'p>, TraceError> {
         trace.check_source(wl)?;
         let mut c = ReplayCursor {
@@ -81,8 +76,6 @@ impl<'p> ReplayCursor<'p> {
             slice: 0,
             buf: Vec::new(),
             buf_pos: 0,
-            end_id: 0,
-            end_depth: 0,
             last_addr: vec![0; wl.program.addr_streams.len()],
             read: 0,
         };
@@ -109,196 +102,17 @@ impl<'p> ReplayCursor<'p> {
         Ok(())
     }
 
-    /// Batch-decode slice `i` into the instruction buffer, validating the
-    /// whole payload (section framing, dictionary references, id bounds,
-    /// token/address sections consumed exactly) as it goes.
+    /// Batch-decode slice `i` into the instruction buffer.
     fn load_slice(&mut self, i: usize) -> Result<(), TraceError> {
-        let trace = Arc::clone(&self.trace);
-        let entries = trace.slices();
-        let entry = *entries.get(i).ok_or_else(|| {
-            TraceError::Malformed(format!("slice {i} out of range ({})", entries.len()))
-        })?;
-        let per = u64::from(trace.slice_insts());
-        let slice_len = per.min(trace.inst_count() - i as u64 * per) as usize;
         self.slice = i;
-        self.buf.clear();
         self.buf_pos = 0;
-        self.buf.reserve(slice_len);
-        self.last_addr.iter_mut().for_each(|a| *a = 0);
-
-        // Section framing.
-        let data = trace.bytes();
-        let pl = &data[entry.off..entry.off + entry.len];
-        let mut pos = 0usize;
-        let dict_count = *pl
-            .first()
-            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: empty payload")))?
-            as usize;
-        pos += 1;
-        if dict_count >= TOK_LITERAL as usize {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: dictionary of {dict_count} entries exceeds the token space"
-            )));
-        }
-        let mut dict: Vec<Event> = Vec::with_capacity(dict_count);
-        for _ in 0..dict_count {
-            let (ev, used) = read_event(&pl[pos..])
-                .ok_or_else(|| TraceError::Malformed(format!("slice {i}: truncated dictionary")))?;
-            dict.push(ev);
-            pos += used;
-        }
-        let (tok_len, used) = read_varint(&pl[pos..])
-            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing token length")))?;
-        pos += used;
-        let mut tok_pos = pos;
-        pos = pos
-            .checked_add(tok_len as usize)
-            .filter(|p| *p <= pl.len())
-            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: token section overruns")))?;
-        let tok_end = pos;
-        let (addr_len, used) = read_varint(&pl[pos..])
-            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing address length")))?;
-        pos += used;
-        let mut addr_pos = pos;
-        pos = pos
-            .checked_add(addr_len as usize)
-            .filter(|p| *p == pl.len())
-            .ok_or_else(|| {
-                TraceError::Malformed(format!("slice {i}: address section does not end the slice"))
-            })?;
-        let addr_end = pos;
-
-        // Event loop: every event makes progress (a CTI, or a nonempty
-        // trailing run), so this terminates at exactly `slice_len`.
-        let mut id = entry.first_inst;
-        let mut depth = u64::from(entry.start_depth);
-        let num_insts = self.prog.num_insts();
-        while self.buf.len() < slice_len {
-            if tok_pos >= tok_end {
-                return Err(TraceError::Malformed(format!(
-                    "slice {i}: token stream ends {} instructions early",
-                    slice_len - self.buf.len()
-                )));
-            }
-            let tok = pl[tok_pos];
-            tok_pos += 1;
-            let ev = match tok {
-                TOK_LITERAL => {
-                    let (ev, used) = read_event(&pl[tok_pos..tok_end]).ok_or_else(|| {
-                        TraceError::Malformed(format!("slice {i}: truncated literal event"))
-                    })?;
-                    tok_pos += used;
-                    ev
-                }
-                TOK_RUN => {
-                    let (run, used) = read_varint(&pl[tok_pos..tok_end]).ok_or_else(|| {
-                        TraceError::Malformed(format!("slice {i}: truncated trailing run"))
-                    })?;
-                    tok_pos += used;
-                    // A trailing run has no CTI: it must cover exactly the
-                    // rest of the slice.
-                    if run != (slice_len - self.buf.len()) as u64 {
-                        return Err(TraceError::Malformed(format!(
-                            "slice {i}: trailing run of {run} does not close the slice"
-                        )));
-                    }
-                    Event {
-                        run,
-                        ctl: 0xFF,
-                        delta: 0,
-                    }
-                }
-                d => *dict.get(d as usize).ok_or_else(|| {
-                    TraceError::Malformed(format!(
-                        "slice {i}: dictionary reference {d} out of range ({})",
-                        dict.len()
-                    ))
-                })?,
-            };
-            let trailing = ev.ctl == 0xFF;
-            let emitted = ev.run + u64::from(!trailing);
-            if !trailing && self.buf.len() as u64 + emitted > slice_len as u64 {
-                return Err(TraceError::Malformed(format!(
-                    "slice {i}: token stream overruns the slice"
-                )));
-            }
-            // All ids this event emits are sequential from `id`; bound
-            // them once instead of per instruction.
-            if u64::from(id) + emitted > num_insts as u64 {
-                return Err(TraceError::Malformed(format!(
-                    "slice {i}: instruction id {} outside the program",
-                    u64::from(id) + emitted - 1
-                )));
-            }
-            // The event's id range is bounds-checked above, so the run can
-            // iterate the instruction table slice directly.
-            let run_insts = &self.prog.insts[id as usize..id as usize + ev.run as usize];
-            for inst in run_insts {
-                let (eff_addr, has_mem) = eff_addr(
-                    self.prog,
-                    &inst.kind,
-                    pl,
-                    &mut addr_pos,
-                    addr_end,
-                    &mut self.last_addr,
-                    &mut depth,
-                    i,
-                )?;
-                self.buf.push(DynInst {
-                    inst: id,
-                    pc: inst.addr,
-                    len: inst.len,
-                    taken: false,
-                    next_pc: inst.addr + u64::from(inst.len),
-                    eff_addr,
-                    has_mem,
-                });
-                id += 1;
-            }
-            if trailing {
-                continue;
-            }
-            let next_id = (i64::from(id) + 1 + ev.delta) as u32;
-            if (next_id as usize) >= num_insts {
-                return Err(TraceError::Malformed(format!(
-                    "slice {i}: control transfer to id {next_id} outside the program"
-                )));
-            }
-            let inst = self.prog.inst(id);
-            let (ea, has_mem) = eff_addr(
-                self.prog,
-                &inst.kind,
-                pl,
-                &mut addr_pos,
-                addr_end,
-                &mut self.last_addr,
-                &mut depth,
-                i,
-            )?;
-            self.buf.push(DynInst {
-                inst: id,
-                pc: inst.addr,
-                len: inst.len,
-                taken: ev.ctl & 1 != 0,
-                next_pc: self.prog.inst(next_id).addr,
-                eff_addr: ea,
-                has_mem,
-            });
-            id = next_id;
-        }
-        if tok_pos != tok_end {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: token stream overruns the slice"
-            )));
-        }
-        if addr_pos != addr_end {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: {} unconsumed address bytes",
-                addr_end - addr_pos
-            )));
-        }
-        self.end_id = id;
-        self.end_depth = depth;
+        decode_slice(
+            &self.trace,
+            self.prog,
+            i,
+            &mut self.buf,
+            &mut self.last_addr,
+        )?;
         Ok(())
     }
 
@@ -323,9 +137,8 @@ impl<'p> ReplayCursor<'p> {
         Ok(())
     }
 
-    /// Decode the next committed instruction, or a structured error if the
-    /// payload is internally inconsistent (possible only for hand-crafted
-    /// files — checksums catch accidental corruption at parse time).
+    /// Decode the next committed instruction, or [`TraceError::TooShort`]
+    /// past the end of the capture.
     pub fn try_next(&mut self) -> Result<DynInst, TraceError> {
         if self.buf_pos == self.buf.len() {
             if self.read >= self.trace.inst_count() {
@@ -334,17 +147,7 @@ impl<'p> ReplayCursor<'p> {
                     requested: self.read + 1,
                 });
             }
-            let next = self.slice + 1;
-            let (expect_id, expect_depth) = (self.end_id, self.end_depth);
-            self.load_slice(next)?;
-            let entry = self.trace.slices()[next];
-            if entry.first_inst != expect_id || u64::from(entry.start_depth) != expect_depth {
-                return Err(TraceError::Malformed(format!(
-                    "slice {next}: index restart (inst {}, depth {}) disagrees with \
-                     the decoded stream (inst {expect_id}, depth {expect_depth})",
-                    entry.first_inst, entry.start_depth
-                )));
-            }
+            self.load_slice(self.slice + 1)?;
         }
         let d = self.buf[self.buf_pos];
         self.buf_pos += 1;
@@ -358,11 +161,11 @@ impl<'p> ReplayCursor<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the payload is internally inconsistent or the cursor is
-    /// advanced past [`TraceFile::inst_count`]. Neither can happen for a
-    /// file that [`TraceFile::parse`] accepted and an instruction budget
-    /// validated against the capture — see [`ReplayCursor::try_next`] for
-    /// the fallible form.
+    /// Panics if the cursor is advanced past [`TraceFile::inst_count`],
+    /// which an instruction budget validated against the capture rules
+    /// out. A payload that does not decode cannot reach this point:
+    /// [`ReplayCursor::new`] ran [`TraceFile::check_source`], which decoded
+    /// the whole file. [`ReplayCursor::try_next`] is the fallible form.
     #[inline]
     pub fn next_inst(&mut self) -> DynInst {
         if self.buf_pos < self.buf.len() {
@@ -373,9 +176,229 @@ impl<'p> ReplayCursor<'p> {
         }
         match self.try_next() {
             Ok(d) => d,
-            Err(e) => panic!("trace replay failed past validation: {e}"),
+            Err(e) => panic!("trace replay past the checked capture: {e}"),
         }
     }
+}
+
+/// Batch-decode slice `i` of `trace` into `buf`, validating the whole
+/// payload (section framing, dictionary references, id bounds, token and
+/// address sections consumed exactly) as it goes. Returns the decoder state
+/// after the slice: the next instruction id and the call depth.
+fn decode_slice(
+    trace: &TraceFile,
+    prog: &Program,
+    i: usize,
+    buf: &mut Vec<DynInst>,
+    last_addr: &mut [u64],
+) -> Result<(u32, u64), TraceError> {
+    let entries = trace.slices();
+    let entry = *entries.get(i).ok_or_else(|| {
+        TraceError::Malformed(format!("slice {i} out of range ({})", entries.len()))
+    })?;
+    let per = u64::from(trace.slice_insts());
+    let slice_len = per.min(trace.inst_count() - i as u64 * per) as usize;
+    buf.clear();
+    buf.reserve(slice_len);
+    last_addr.iter_mut().for_each(|a| *a = 0);
+
+    // Section framing.
+    let data = trace.bytes();
+    let pl = &data[entry.off..entry.off + entry.len];
+    let mut pos = 0usize;
+    let dict_count = *pl
+        .first()
+        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: empty payload")))?
+        as usize;
+    pos += 1;
+    if dict_count >= TOK_LITERAL as usize {
+        return Err(TraceError::Malformed(format!(
+            "slice {i}: dictionary of {dict_count} entries exceeds the token space"
+        )));
+    }
+    let mut dict: Vec<Event> = Vec::with_capacity(dict_count);
+    for _ in 0..dict_count {
+        let (ev, used) = read_event(&pl[pos..])
+            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: truncated dictionary")))?;
+        dict.push(ev);
+        pos += used;
+    }
+    let (tok_len, used) = read_varint(&pl[pos..])
+        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing token length")))?;
+    pos += used;
+    let mut tok_pos = pos;
+    pos = pos
+        .checked_add(tok_len as usize)
+        .filter(|p| *p <= pl.len())
+        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: token section overruns")))?;
+    let tok_end = pos;
+    let (addr_len, used) = read_varint(&pl[pos..])
+        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing address length")))?;
+    pos += used;
+    let mut addr_pos = pos;
+    pos = pos
+        .checked_add(addr_len as usize)
+        .filter(|p| *p == pl.len())
+        .ok_or_else(|| {
+            TraceError::Malformed(format!("slice {i}: address section does not end the slice"))
+        })?;
+    let addr_end = pos;
+
+    // Event loop: every event makes progress (a CTI, or a nonempty
+    // trailing run), so this terminates at exactly `slice_len`.
+    let mut id = entry.first_inst;
+    let mut depth = u64::from(entry.start_depth);
+    let num_insts = prog.num_insts();
+    while buf.len() < slice_len {
+        if tok_pos >= tok_end {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: token stream ends {} instructions early",
+                slice_len - buf.len()
+            )));
+        }
+        let tok = pl[tok_pos];
+        tok_pos += 1;
+        let ev = match tok {
+            TOK_LITERAL => {
+                let (ev, used) = read_event(&pl[tok_pos..tok_end]).ok_or_else(|| {
+                    TraceError::Malformed(format!("slice {i}: truncated literal event"))
+                })?;
+                tok_pos += used;
+                ev
+            }
+            TOK_RUN => {
+                let (run, used) = read_varint(&pl[tok_pos..tok_end]).ok_or_else(|| {
+                    TraceError::Malformed(format!("slice {i}: truncated trailing run"))
+                })?;
+                tok_pos += used;
+                // A trailing run has no CTI: it must cover exactly the
+                // rest of the slice.
+                if run != (slice_len - buf.len()) as u64 {
+                    return Err(TraceError::Malformed(format!(
+                        "slice {i}: trailing run of {run} does not close the slice"
+                    )));
+                }
+                Event {
+                    run,
+                    ctl: 0xFF,
+                    delta: 0,
+                }
+            }
+            d => *dict.get(d as usize).ok_or_else(|| {
+                TraceError::Malformed(format!(
+                    "slice {i}: dictionary reference {d} out of range ({})",
+                    dict.len()
+                ))
+            })?,
+        };
+        let trailing = ev.ctl == 0xFF;
+        // Saturating: a hand-made run length may be any 64-bit value.
+        let emitted = ev.run.saturating_add(u64::from(!trailing));
+        if !trailing && (buf.len() as u64).saturating_add(emitted) > slice_len as u64 {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: token stream overruns the slice"
+            )));
+        }
+        // All ids this event emits are sequential from `id`; bound
+        // them once instead of per instruction.
+        let end = u64::from(id).saturating_add(emitted);
+        if end > num_insts as u64 {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: instruction id {} outside the program",
+                end - 1
+            )));
+        }
+        // The event's id range is bounds-checked above, so the run can
+        // iterate the instruction table slice directly.
+        let run_insts = &prog.insts[id as usize..id as usize + ev.run as usize];
+        for inst in run_insts {
+            let (eff_addr, has_mem) = eff_addr(
+                prog,
+                &inst.kind,
+                pl,
+                &mut addr_pos,
+                addr_end,
+                last_addr,
+                &mut depth,
+                i,
+            )?;
+            buf.push(DynInst {
+                inst: id,
+                pc: inst.addr,
+                len: inst.len,
+                taken: false,
+                next_pc: inst.addr + u64::from(inst.len),
+                eff_addr,
+                has_mem,
+            });
+            id += 1;
+        }
+        if trailing {
+            continue;
+        }
+        let next_id = (i64::from(id) + 1).wrapping_add(ev.delta) as u32;
+        if (next_id as usize) >= num_insts {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: control transfer to id {next_id} outside the program"
+            )));
+        }
+        let inst = prog.inst(id);
+        let (ea, has_mem) = eff_addr(
+            prog,
+            &inst.kind,
+            pl,
+            &mut addr_pos,
+            addr_end,
+            last_addr,
+            &mut depth,
+            i,
+        )?;
+        buf.push(DynInst {
+            inst: id,
+            pc: inst.addr,
+            len: inst.len,
+            taken: ev.ctl & 1 != 0,
+            next_pc: prog.inst(next_id).addr,
+            eff_addr: ea,
+            has_mem,
+        });
+        id = next_id;
+    }
+    if tok_pos != tok_end {
+        return Err(TraceError::Malformed(format!(
+            "slice {i}: token stream overruns the slice"
+        )));
+    }
+    if addr_pos != addr_end {
+        return Err(TraceError::Malformed(format!(
+            "slice {i}: {} unconsumed address bytes",
+            addr_end - addr_pos
+        )));
+    }
+    Ok((id, depth))
+}
+
+/// Decode every slice of `trace` against `prog` and check that each
+/// slice's index restart state (first instruction, call depth) is where
+/// the slice before it ended. A file that passes decodes without error
+/// from any slice on. [`TraceFile::check_source`] runs this once per file.
+pub(super) fn check_stream(trace: &TraceFile, prog: &Program) -> Result<(), TraceError> {
+    let mut buf = Vec::new();
+    let mut last_addr = vec![0; prog.addr_streams.len()];
+    let mut end = None;
+    for (i, entry) in trace.slices().iter().enumerate() {
+        if let Some((id, depth)) = end {
+            if entry.first_inst != id || u64::from(entry.start_depth) != depth {
+                return Err(TraceError::Malformed(format!(
+                    "slice {i}: index restart (inst {}, depth {}) disagrees with \
+                     the decoded stream (inst {id}, depth {depth})",
+                    entry.first_inst, entry.start_depth
+                )));
+            }
+        }
+        end = Some(decode_slice(trace, prog, i, &mut buf, &mut last_addr)?);
+    }
+    Ok(())
 }
 
 /// Effective-address reconstruction for one instruction: memory ops read a
@@ -403,14 +426,16 @@ fn eff_addr(
         return Ok((addr, true));
     }
     match kind {
-        InstKind::Call => {
-            let addr = prog.stack_base - 8 * (*depth + 1);
-            *depth += 1;
-            Ok((addr, true))
-        }
-        InstKind::Return => {
-            let addr = prog.stack_base - 8 * (*depth).max(1);
-            *depth = depth.saturating_sub(1);
+        InstKind::Call | InstKind::Return => {
+            let call = matches!(kind, InstKind::Call);
+            let slot = if call { *depth + 1 } else { (*depth).max(1) };
+            // A hand-made start depth can put the slot below address 0.
+            let addr = prog.stack_base.checked_sub(8 * slot).ok_or_else(|| {
+                TraceError::Malformed(format!(
+                    "slice {slice}: call depth {depth} overruns the stack"
+                ))
+            })?;
+            *depth = if call { slot } else { depth.saturating_sub(1) };
             Ok((addr, true))
         }
         _ => Ok((0, false)),
