@@ -214,12 +214,7 @@ pub fn build_plan(
     if budget == 0 {
         return Err(SampleError::EmptyBudget);
     }
-    if trace.inst_count() < budget {
-        return Err(SampleError::Trace(TraceError::TooShort {
-            captured: trace.inst_count(),
-            requested: budget,
-        }));
-    }
+    trace.check_covers(budget)?;
     let intervals = intervals_for(budget, spec.interval);
     let bbvs = bbv::interval_vectors(trace, wl, &intervals)?;
     let feats = bbv::project(&bbvs, PROJECTED_DIMS, spec.seed);
