@@ -13,13 +13,13 @@ use crate::models::{MachineConfig, TraceConfig};
 use crate::report::{OptReport, SimReport, TraceReport};
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
 use parrot_isa::corrupt::fnv1a_u64;
-use parrot_isa::{ExecClass, Uop, UopKind};
+use parrot_isa::{ExecClass, Uop};
 use parrot_opt::{GateDecision, Optimizer};
 use parrot_telemetry::profile::{self, Stage};
 use parrot_telemetry::{metrics, trace as tev};
 use parrot_trace::{
-    construct_frame, CounterFilter, OptLevel, TraceCache, TraceCandidate, TracePredictor,
-    TraceSelector,
+    construct_frame, CounterFilter, OptLevel, Tid, TraceCache, TraceCandidate, TraceFrame,
+    TracePredictor, TraceSelector,
 };
 use parrot_uarch::core::{DispatchUop, OooCore};
 use parrot_uarch::frontend::ColdFrontEnd;
@@ -49,10 +49,47 @@ const SWITCH_DRAIN_THRESHOLD: u32 = 12;
 /// Live registers communicated on a state switch (int + fp estimate).
 const SWITCH_REGS: u64 = 16;
 
+/// The trace being streamed into the fetch queue. Its buffers are reused
+/// from one trace entry to the next.
+#[derive(Default)]
 struct HotRun {
+    /// The entered frame's dispatch form, addresses patched.
     dus: Vec<DispatchUop>,
+    /// The frame's `addr_slots`, and how many of them are patched.
+    addr_slots: Vec<(u32, u32)>,
+    patched: usize,
+    /// The next uop of `dus` to deliver.
     pos: usize,
     optimized: bool,
+}
+
+impl HotRun {
+    /// Is a trace streaming?
+    fn active(&self) -> bool {
+        self.pos < self.dus.len()
+    }
+
+    /// Start streaming `frame`: copy its dispatch form.
+    fn load(&mut self, frame: &TraceFrame) {
+        self.dus.clear();
+        self.dus.extend_from_slice(&frame.dispatch);
+        self.addr_slots.clear();
+        self.addr_slots.extend_from_slice(&frame.addr_slots);
+        self.patched = 0;
+        self.pos = 0;
+    }
+
+    /// Give the memory uops of covered instruction `inst` its effective
+    /// address. Instructions arrive in order, as the slots are sorted.
+    fn patch(&mut self, inst: u32, eff_addr: u64) {
+        while let Some(&(u, i)) = self.addr_slots.get(self.patched) {
+            if i != inst {
+                break;
+            }
+            self.dus[u as usize].eff_addr = eff_addr;
+            self.patched += 1;
+        }
+    }
 }
 
 struct TraceState {
@@ -63,7 +100,7 @@ struct TraceState {
     tc: TraceCache,
     tpred: TracePredictor,
     optimizer: Option<Optimizer>,
-    hot_run: Option<HotRun>,
+    hot_run: HotRun,
     cand_buf: Vec<TraceCandidate>,
     hot_insts: u64,
     cold_insts: u64,
@@ -86,7 +123,7 @@ impl TraceState {
             tc: TraceCache::new(cfg.tcache),
             tpred: TracePredictor::new(cfg.tpred),
             optimizer: cfg.optimizer.map(Optimizer::new),
-            hot_run: None,
+            hot_run: HotRun::default(),
             cand_buf: Vec::new(),
             hot_insts: 0,
             cold_insts: 0,
@@ -271,7 +308,7 @@ impl<'w> Machine<'w> {
         self.oracle.exhausted()
             && self.queue.is_empty()
             && self.cores.iter().all(|c| c.is_empty())
-            && self.trace.as_ref().is_none_or(|t| t.hot_run.is_none())
+            && self.trace.as_ref().is_none_or(|t| !t.hot_run.active())
     }
 
     /// Start from functionally warmed cache/predictor state instead of
@@ -458,10 +495,7 @@ impl<'w> Machine<'w> {
             if let Some(c) = core.writeback(self.now, model, &mut self.acct) {
                 self.frontend.branch_resolved(c);
             }
-            active |= core
-                .commit(self.now, &mut self.mem, model, &mut self.acct)
-                .0
-                > 0;
+            active |= core.commit(&mut self.mem, model, &mut self.acct).0 > 0;
             active |= core.issue(self.now, &mut self.mem, model, &mut self.acct) > 0;
         }
         profile::enter(Stage::Dispatch);
@@ -596,7 +630,7 @@ impl<'w> Machine<'w> {
     /// stalled, the queue is full or the stream is exhausted.
     fn fetch(&mut self) -> bool {
         // Continue streaming an active hot run.
-        if self.trace.as_ref().is_some_and(|t| t.hot_run.is_some()) {
+        if self.trace.as_ref().is_some_and(|t| t.hot_run.active()) {
             profile::enter(Stage::TraceCache);
             return self.deliver_hot();
         }
@@ -711,46 +745,10 @@ impl<'w> Machine<'w> {
         let predicted = ts.tpred.predict_with(pending_key);
         self.acct.emit(&self.cold_model, Event::TcTagAccess);
 
-        // Collect confident path variants resident at this fetch address.
-        let variants: Vec<parrot_trace::Tid> = ts
-            .tc
-            .variants_at(start_pc)
-            .into_iter()
-            .filter(|f| f.live_conf >= 2)
-            .map(|f| f.tid)
-            .collect();
-        if variants.is_empty() {
+        // Variant choice: trace predictor first, branch-predictor vote next.
+        let Some(chosen) = choose_variant(&ts.tc, start_pc, predicted, &self.frontend.bpred) else {
             ts.no_variant += 1;
             return false;
-        }
-        // Variant choice: trace predictor first, branch-predictor vote next.
-        let chosen = match predicted.filter(|p| variants.contains(p)) {
-            Some(p) => p,
-            None => {
-                if variants.len() == 1 {
-                    variants[0]
-                } else {
-                    let mut best = variants[0];
-                    let mut best_score = i32::MIN;
-                    for tid in &variants {
-                        let frame = ts.tc.peek(tid).expect("resident");
-                        let mut score = 0i32;
-                        for (pc, taken) in &frame.path {
-                            // Only conditional branches are recorded in dirs;
-                            // approximate by scoring every taken-marked step.
-                            if frame.tid.num_branches > 0 {
-                                let pred = self.frontend.bpred.predict(*pc);
-                                score += if pred == *taken { 1 } else { -1 };
-                            }
-                        }
-                        if score > best_score {
-                            best_score = score;
-                            best = *tid;
-                        }
-                    }
-                    best
-                }
-            }
         };
         let used_prediction = predicted == Some(chosen);
         if used_prediction {
@@ -938,59 +936,30 @@ impl<'w> Machine<'w> {
             }
         }
 
-        // Build the dispatchable uop stream (addresses patched below).
-        let (mut dus, addr_ref) = {
-            let frame = ts.tc.fetch(&chosen).expect("resident");
-            let last = frame.uops.len().saturating_sub(1);
-            let mut dus = Vec::with_capacity(frame.uops.len().max(1));
-            let mut addr_ref: Vec<Option<u32>> = Vec::with_capacity(frame.uops.len().max(1));
-            for (i, u) in frame.uops.iter().enumerate() {
-                let credit = if i == last { frame.num_insts } else { 0 };
-                dus.push(DispatchUop::from_uop(u, 0, credit));
-                addr_ref.push(if u.is_mem() { Some(u.inst_idx) } else { None });
-            }
-            if dus.is_empty() {
-                // The whole trace optimized away: a single credit-carrying nop.
-                let mut nop = Uop::mov_imm(parrot_isa::Reg::int(0), 0);
-                nop.kind = UopKind::Nop;
-                nop.dst = None;
-                dus.push(DispatchUop::from_uop(&nop, 0, frame.num_insts));
-                addr_ref.push(None);
-            }
-            (dus, addr_ref)
-        };
+        // Copy the frame's dispatch form. A frame that fault injection
+        // corrupted never gets here: the integrity gate above evicted it.
+        debug_assert!(ts.tc.verify_integrity(&chosen), "corrupted frame streams");
+        ts.hot_run.load(ts.tc.fetch(&chosen).expect("resident"));
 
-        // Consume the covered instructions from the oracle, feeding the
-        // background phase and collecting current effective addresses.
+        // Consume the covered instructions from the oracle, patching their
+        // effective addresses and feeding the background phase.
         let from = self.oracle.cursor();
-        let mut inst_addrs = Vec::with_capacity(num_insts as usize);
-        for _ in 0..num_insts {
+        for k in 0..num_insts {
             let d = self.oracle.pop().expect("matched path exists");
-            inst_addrs.push(d.eff_addr);
-        }
-        ts.hot_insts += u64::from(num_insts);
-        for seq in from..from + u64::from(num_insts) {
-            let d = self.oracle.get(seq).expect("recently consumed");
+            ts.hot_run.patch(k, d.eff_addr);
             ts.observe_inst(
                 &d,
-                seq,
+                from + u64::from(k),
                 self.wl,
                 &self.cold_model,
                 &mut self.acct,
                 &mut self.faults,
             );
         }
-        for (du, ar) in dus.iter_mut().zip(&addr_ref) {
-            if let Some(ii) = ar {
-                du.eff_addr = inst_addrs[*ii as usize];
-            }
-        }
-        let optimized = ts.tc.peek(&chosen).map(|f| f.opt_level) == Some(OptLevel::Optimized);
-        ts.hot_run = Some(HotRun {
-            dus,
-            pos: 0,
-            optimized,
-        });
+        debug_assert_eq!(ts.hot_run.patched, ts.hot_run.addr_slots.len());
+        ts.hot_insts += u64::from(num_insts);
+        ts.hot_run.optimized =
+            ts.tc.peek(&chosen).map(|f| f.opt_level) == Some(OptLevel::Optimized);
         if tev::active() {
             // Close the cold fetch segment and open the hot one.
             tev::complete(
@@ -1014,9 +983,7 @@ impl<'w> Machine<'w> {
         let Some(ts) = &mut self.trace else {
             return false;
         };
-        let Some(run) = &mut ts.hot_run else {
-            return false;
-        };
+        let run = &mut ts.hot_run;
         let width = ts.cfg.hot_fetch_uops as usize;
         let side = if run.optimized {
             Side::HotOpt
@@ -1024,7 +991,7 @@ impl<'w> Machine<'w> {
             Side::Hot
         };
         let mut n = 0;
-        while n < width && run.pos < run.dus.len() && self.queue.len() < self.queue_cap {
+        while n < width && run.active() && self.queue.len() < self.queue_cap {
             let du = run.dus[run.pos];
             if matches!(du.class, ExecClass::Store) {
                 self.store_count += 1;
@@ -1035,21 +1002,18 @@ impl<'w> Machine<'w> {
             run.pos += 1;
             n += 1;
         }
-        if run.pos == run.dus.len() {
-            ts.hot_run = None;
-            if self.phase_hot && tev::active() {
-                // The trace has fully streamed: close the hot segment.
-                tev::complete(
-                    "hot",
-                    "phase",
-                    tev::track::PHASE,
-                    self.phase_start,
-                    self.now,
-                    tev::NO_ARGS,
-                );
-                self.phase_start = self.now;
-                self.phase_hot = false;
-            }
+        if !run.active() && self.phase_hot && tev::active() {
+            // The trace has fully streamed: close the hot segment.
+            tev::complete(
+                "hot",
+                "phase",
+                tev::track::PHASE,
+                self.phase_start,
+                self.now,
+                tev::NO_ARGS,
+            );
+            self.phase_start = self.now;
+            self.phase_hot = false;
         }
         n > 0
     }
@@ -1164,6 +1128,49 @@ impl<'w> Machine<'w> {
             trace,
         }
     }
+}
+
+/// The fetch selector's choice among the confident path variants resident
+/// at `start_pc`: the predicted TID if it is one of them, else the variant
+/// whose recorded path best agrees with the branch predictor, the most
+/// recently used on a tie. `None` when no confident variant is resident.
+fn choose_variant(
+    tc: &TraceCache,
+    start_pc: u64,
+    predicted: Option<Tid>,
+    bpred: &parrot_uarch::bpred::HybridPredictor,
+) -> Option<Tid> {
+    let confident = || tc.variants_at(start_pc).filter(|(f, _)| f.live_conf >= 2);
+    let mut count = 0;
+    let mut any = None;
+    for (f, _) in confident() {
+        if predicted == Some(f.tid) {
+            return predicted;
+        }
+        count += 1;
+        any = Some(f.tid);
+    }
+    if count < 2 {
+        return any;
+    }
+    let mut best = None;
+    let mut best_key = (i32::MIN, 0);
+    for (f, stamp) in confident() {
+        let mut score = 0i32;
+        for (pc, taken) in &f.path {
+            // Only conditional branches are recorded in dirs; approximate
+            // by scoring every taken-marked step.
+            if f.tid.num_branches > 0 {
+                score += if bpred.predict(*pc) == *taken { 1 } else { -1 };
+            }
+        }
+        // A tie in both score and stamp goes to the earlier slot.
+        if best.is_none() || (score, stamp) > best_key {
+            best = Some(f.tid);
+            best_key = (score, stamp);
+        }
+    }
+    best
 }
 
 #[cfg(test)]

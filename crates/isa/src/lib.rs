@@ -15,7 +15,8 @@
 //!
 //! This crate defines exactly that: a register file model ([`Reg`]),
 //! macro-instructions ([`Inst`]), micro-operations ([`Uop`]), the
-//! CISC-to-uop decoder ([`decode::decode`]) and deterministic functional
+//! CISC-to-uop decoder ([`decode::decode`]), the pipeline-facing
+//! projection of a uop ([`DispatchUop`]) and deterministic functional
 //! semantics ([`exec`]) used by the optimizer's equivalence property tests.
 //!
 //! ```
@@ -36,12 +37,14 @@
 pub mod absint;
 pub mod corrupt;
 pub mod decode;
+mod dispatch;
 pub mod exec;
 mod inst;
 mod op;
 mod reg;
 mod uop;
 
+pub use dispatch::DispatchUop;
 pub use inst::{Inst, InstId, InstKind, MemRef};
 pub use op::{AluOp, Cond, FpOp, Operand, PackOp};
 pub use reg::Reg;

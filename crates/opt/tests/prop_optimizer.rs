@@ -122,6 +122,8 @@ fn frame_of(uops: &[Uop], addrs: &[u64]) -> TraceFrame {
         tid: Tid::new(0x4000),
         uops: uops.to_vec(),
         mem_addrs: addrs.to_vec(),
+        dispatch: Vec::new(),
+        addr_slots: Vec::new(),
         path: vec![],
         num_insts: uops.len() as u32,
         orig_uops: uops.len() as u32,

@@ -5,7 +5,7 @@
 //! the reuse of one optimization across many executions.
 
 use crate::tid::Tid;
-use parrot_isa::Uop;
+use parrot_isa::{DispatchUop, Uop};
 use parrot_telemetry::{metrics, trace as tev};
 
 /// The optimization state of a stored frame (gradual promotion).
@@ -46,6 +46,16 @@ pub struct TraceFrame {
     /// Recorded effective addresses, indexed by each memory uop's
     /// `mem_slot` (used for functional replay of optimizations).
     pub mem_addrs: Vec<u64>,
+    /// What the hot pipeline dispatches for `uops`, built once per uop
+    /// sequence ([`TraceFrame::build_dispatch`]): one [`DispatchUop`] per
+    /// uop with the whole instruction credit on the last, or a single
+    /// credit-carrying nop when `uops` is empty. Effective addresses are 0;
+    /// each trace entry patches them through `addr_slots`.
+    pub dispatch: Vec<DispatchUop>,
+    /// `(uop, instruction)` trace-local indices of the memory uops, ordered
+    /// by instruction: uop `u` takes the effective address of covered
+    /// instruction `i`.
+    pub addr_slots: Vec<(u32, u32)>,
     /// The recorded instruction path: `(pc, taken)` per constituent
     /// instruction — the fetch selector compares this against the upcoming
     /// committed path to detect trace mispredictions (assert failures).
@@ -72,6 +82,28 @@ pub struct TraceFrame {
     /// selector only streams frames with confidence ≥ 2, so persistent
     /// divergers stop being tried.
     pub live_conf: u8,
+}
+
+impl TraceFrame {
+    /// Build `dispatch` and `addr_slots` from `uops` and `num_insts`.
+    pub fn build_dispatch(&mut self) {
+        let last = self.uops.len().saturating_sub(1);
+        self.dispatch.clear();
+        self.addr_slots.clear();
+        for (i, u) in self.uops.iter().enumerate() {
+            let credit = if i == last { self.num_insts } else { 0 };
+            self.dispatch.push(DispatchUop::from_uop(u, 0, credit));
+            if u.is_mem() {
+                self.addr_slots.push((i as u32, u.inst_idx));
+            }
+        }
+        if self.dispatch.is_empty() {
+            // The whole trace optimized away: a single credit-carrying nop.
+            self.dispatch.push(DispatchUop::credit_nop(self.num_insts));
+        }
+        // Stable: constructed frames are already in instruction order.
+        self.addr_slots.sort_by_key(|&(_, inst)| inst);
+    }
 }
 
 /// Trace cache geometry.
@@ -215,20 +247,18 @@ impl TraceCache {
         base..base + self.cfg.ways as usize
     }
 
-    /// All resident frames starting at `start_pc` (path variants), most
-    /// recently used first.
-    pub fn variants_at(&self, start_pc: u64) -> Vec<&TraceFrame> {
-        let mut v: Vec<(&TraceFrame, u64)> = self.slots[self.set_range_pc(start_pc)]
+    /// All resident frames starting at `start_pc` (path variants), in slot
+    /// order, each with its recency stamp: a larger stamp was used more
+    /// recently.
+    pub fn variants_at(&self, start_pc: u64) -> impl Iterator<Item = (&TraceFrame, u64)> {
+        self.slots[self.set_range_pc(start_pc)]
             .iter()
-            .filter_map(|s| {
+            .filter_map(move |s| {
                 s.frame
                     .as_ref()
                     .filter(|f| f.tid.start_pc == start_pc)
                     .map(|f| (f, s.stamp))
             })
-            .collect();
-        v.sort_by_key(|(_, stamp)| std::cmp::Reverse(*stamp));
-        v.into_iter().map(|(f, _)| f).collect()
     }
 
     /// Look up a frame by TID, refreshing recency and bumping execution
@@ -327,9 +357,10 @@ impl TraceCache {
     }
 
     /// Replace a resident frame with the optimizer's write-back: either its
-    /// validated optimized form or its demoted (unoptimized) form. Returns
-    /// false if the frame was evicted in the meantime.
-    pub fn replace_optimized(&mut self, frame: TraceFrame) -> bool {
+    /// validated optimized form or its demoted (unoptimized) form, with its
+    /// dispatch form rebuilt. Returns false if the frame was evicted in the
+    /// meantime.
+    pub fn replace_optimized(&mut self, mut frame: TraceFrame) -> bool {
         debug_assert!(
             matches!(
                 (frame.opt_level, frame.verdict),
@@ -348,6 +379,7 @@ impl TraceCache {
             .iter_mut()
             .find(|s| s.frame.as_ref().is_some_and(|f| f.tid == frame.tid))
         {
+            frame.build_dispatch();
             slot.tag = Self::tag_for(integrity, &frame);
             slot.frame = Some(frame);
             slot.stamp = tick;
@@ -519,6 +551,8 @@ mod tests {
             tid: Tid::new(pc),
             uops: vec![],
             mem_addrs: vec![],
+            dispatch: vec![],
+            addr_slots: vec![],
             path: vec![],
             num_insts: 4,
             orig_uops: 6,
@@ -593,6 +627,52 @@ mod tests {
         gone.opt_level = OptLevel::Optimized;
         gone.verdict = Some(OptVerdict::Validated);
         assert!(!tc.replace_optimized(gone));
+    }
+
+    #[test]
+    fn optimized_writeback_rebuilds_the_dispatch_form() {
+        use parrot_isa::{AluOp, DispatchUop, Reg, Uop};
+        let mut tc = TraceCache::new(TraceCacheConfig::standard());
+        let tid = Tid::new(0x340);
+        let mut f = frame(0x340);
+        f.uops = vec![Uop::alu(AluOp::Add, Reg::int(0), Reg::int(1), Reg::int(2)); 3];
+        f.build_dispatch();
+        tc.insert(f.clone());
+
+        // The optimizer reorders: a store of instruction 3 ahead of a load
+        // of instruction 1. The slots come back in instruction order.
+        let mut opt = f.clone();
+        opt.opt_level = OptLevel::Optimized;
+        opt.verdict = Some(OptVerdict::Validated);
+        let mut load = Uop::load(Reg::int(3), Reg::int(4));
+        load.inst_idx = 1;
+        let mut store = Uop::store(Reg::int(4), Reg::int(3));
+        store.inst_idx = 3;
+        opt.uops = vec![store.clone(), load.clone()];
+        assert!(tc.replace_optimized(opt));
+        let got = tc.peek(&tid).expect("resident");
+        assert_eq!(
+            got.dispatch,
+            vec![
+                DispatchUop::from_uop(&store, 0, 0),
+                DispatchUop::from_uop(&load, 0, 4)
+            ]
+        );
+        assert_eq!(got.addr_slots, vec![(1, 1), (0, 3)]);
+
+        // A trace optimized away dispatches one nop carrying the credit.
+        let mut empty = f.clone();
+        empty.opt_level = OptLevel::Optimized;
+        empty.verdict = Some(OptVerdict::Validated);
+        empty.uops.clear();
+        assert!(tc.replace_optimized(empty));
+        let got = tc.peek(&tid).expect("resident");
+        let mut nop = Uop::mov_imm(Reg::int(0), 0);
+        nop.kind = parrot_isa::UopKind::Nop;
+        nop.dst = None;
+        assert_eq!(got.dispatch, vec![DispatchUop::from_uop(&nop, 0, 4)]);
+        assert_eq!(got.dispatch, vec![DispatchUop::credit_nop(4)]);
+        assert!(got.addr_slots.is_empty());
     }
 
     #[test]
@@ -702,6 +782,8 @@ mod confidence_tests {
             tid,
             uops: vec![],
             mem_addrs: vec![],
+            dispatch: vec![],
+            addr_slots: vec![],
             path: vec![],
             num_insts: 4,
             orig_uops: 6,
@@ -720,15 +802,20 @@ mod confidence_tests {
         tc.insert(frame(0x100, &[true]));
         tc.insert(frame(0x100, &[false]));
         tc.insert(frame(0x200, &[true]));
-        let v = tc.variants_at(0x100);
+        let by_recency = |tc: &TraceCache| {
+            let mut v: Vec<(Tid, u64)> = tc.variants_at(0x100).map(|(f, s)| (f.tid, s)).collect();
+            v.sort_by_key(|&(_, stamp)| std::cmp::Reverse(stamp));
+            v
+        };
+        let v = by_recency(&tc);
         assert_eq!(v.len(), 2, "both path variants of 0x100");
-        assert!(v.iter().all(|f| f.tid.start_pc == 0x100));
+        assert!(v.iter().all(|(t, _)| t.start_pc == 0x100));
+        assert!(!v[0].0.dir(0), "the later insert is more recent");
         // Touch the older variant: it becomes MRU.
-        let t1 = v[1].tid;
+        let t1 = v[1].0;
         tc.fetch(&t1);
-        let v2 = tc.variants_at(0x100);
-        assert_eq!(v2[0].tid, t1, "MRU first");
-        assert!(tc.variants_at(0x300).is_empty());
+        assert_eq!(by_recency(&tc)[0].0, t1, "MRU first");
+        assert_eq!(tc.variants_at(0x300).count(), 0);
     }
 
     #[test]

@@ -22,6 +22,8 @@ use parrot_workloads::DecodedProgram;
 /// * memory uops receive a `mem_slot` index into the frame's recorded
 ///   address sequence (used by functional replay and by optimization
 ///   verification).
+///
+/// The frame carries its dispatch form ([`TraceFrame::build_dispatch`]).
 pub fn construct_frame(cand: &TraceCandidate, decoded: &DecodedProgram) -> TraceFrame {
     let _prof = profile::scope("trace.construct");
     let mut uops: Vec<Uop> = Vec::with_capacity(cand.num_uops as usize);
@@ -57,10 +59,12 @@ pub fn construct_frame(cand: &TraceCandidate, decoded: &DecodedProgram) -> Trace
     );
     metrics::hist_record("trace_len_insts", u64::from(num_insts));
     metrics::hist_record("trace_len_uops", u64::from(orig_uops));
-    TraceFrame {
+    let mut frame = TraceFrame {
         tid: cand.tid,
         uops,
         mem_addrs,
+        dispatch: Vec::with_capacity(orig_uops.max(1) as usize),
+        addr_slots: Vec::new(),
         path: cand.insts.iter().map(|ci| (ci.pc, ci.taken)).collect(),
         num_insts,
         orig_uops,
@@ -70,7 +74,9 @@ pub fn construct_frame(cand: &TraceCandidate, decoded: &DecodedProgram) -> Trace
         exec_count: 0,
         execs_since_opt: 0,
         live_conf: 1,
-    }
+    };
+    frame.build_dispatch();
+    frame
 }
 
 #[cfg(test)]
@@ -159,6 +165,30 @@ mod tests {
             f.uops.len() < f.num_insts as usize * 2 // loose: drops happened somewhere
         });
         assert!(any_inst_gap);
+    }
+
+    #[test]
+    fn the_dispatch_form_has_one_uop_per_uop_and_the_credit_on_the_last() {
+        use parrot_isa::DispatchUop;
+        let (frames, _) = frames_from_stream(20_000);
+        for f in &frames {
+            assert_eq!(f.dispatch.len(), f.uops.len().max(1));
+            let credits: Vec<u32> = f.dispatch.iter().map(|d| d.inst_credit).collect();
+            let (last, rest) = credits.split_last().expect("never empty");
+            assert_eq!(*last, f.num_insts, "the last uop carries the whole credit");
+            assert!(rest.iter().all(|&c| c == 0));
+            for (d, u) in f.dispatch.iter().zip(&f.uops) {
+                assert_eq!(*d, DispatchUop::from_uop(u, 0, d.inst_credit));
+            }
+            let mem: Vec<(u32, u32)> = (f.uops.iter().enumerate())
+                .filter(|(_, u)| u.is_mem())
+                .map(|(i, u)| (i as u32, u.inst_idx))
+                .collect();
+            assert_eq!(
+                f.addr_slots, mem,
+                "constructed frames are in instruction order"
+            );
+        }
     }
 
     #[test]

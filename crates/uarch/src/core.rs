@@ -11,7 +11,7 @@
 
 use crate::cache::{MemHierarchy, ServicedBy};
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
-use parrot_isa::{ExecClass, Reg, Uop};
+use parrot_isa::ExecClass;
 
 /// Per-class execution port counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,66 +116,7 @@ impl CoreConfig {
     }
 }
 
-/// A uop ready for rename/dispatch: the compact, pipeline-facing projection
-/// of a [`Uop`] plus its dynamic context.
-#[derive(Clone, Copy, Debug)]
-pub struct DispatchUop {
-    /// Execution class (port binding + latency).
-    pub class: ExecClass,
-    /// Registers read (including flags), capped at 4 — SIMD packs beyond
-    /// that are approximated by their first lanes.
-    pub reads: [Option<Reg>; 4],
-    /// Registers written (including flags), capped at 4.
-    pub writes: [Option<Reg>; 4],
-    /// Effective address for memory uops.
-    pub eff_addr: u64,
-    /// Macro-instructions credited at this uop's commit. Cold uops carry 1
-    /// on each instruction's final uop; an atomic trace carries its whole
-    /// instruction count on its final uop (atomic commit accounting, robust
-    /// to optimizer uop elimination).
-    pub inst_credit: u32,
-    /// This uop is a mispredicted control transfer: its completion triggers
-    /// a front-end redirect.
-    pub mispredict: bool,
-    /// SIMD lane count (0 for scalar uops) — drives per-lane exec energy.
-    pub simd_lanes: u8,
-}
-
-impl DispatchUop {
-    /// Project a decoded [`Uop`] into dispatch form. `inst_credit` is the
-    /// number of macro-instructions credited when this uop commits.
-    pub fn from_uop(uop: &Uop, eff_addr: u64, inst_credit: u32) -> DispatchUop {
-        let mut reads = [None; 4];
-        let mut nr = 0;
-        uop.for_each_use(|r| {
-            if nr < 4 {
-                reads[nr] = Some(r);
-                nr += 1;
-            }
-        });
-        let mut writes = [None; 4];
-        let mut nw = 0;
-        uop.for_each_def(|r| {
-            if nw < 4 {
-                writes[nw] = Some(r);
-                nw += 1;
-            }
-        });
-        let simd_lanes = match &uop.kind {
-            parrot_isa::UopKind::Simd(p) => p.lanes.len() as u8,
-            _ => 0,
-        };
-        DispatchUop {
-            class: uop.exec_class(),
-            reads,
-            writes,
-            eff_addr,
-            inst_credit,
-            mispredict: false,
-            simd_lanes,
-        }
-    }
-}
+pub use parrot_isa::DispatchUop;
 
 const NONE: u32 = u32::MAX;
 /// Completion-bucket ring size; must exceed the longest latency.
@@ -192,9 +133,16 @@ enum UopState {
 struct RobEntry {
     state: UopState,
     class: ExecClass,
-    dep_idx: [u32; 4],
-    dep_seq: [u64; 4],
+    /// Operand slots whose producer is not yet Done; the uop may issue at 0.
+    pending: u8,
+    /// Position in the issue window while the uop waits to issue.
+    pos: u8,
     writes: [u8; 4], // register indices, 255 = none
+    /// Head of the list of operand slots waiting on this uop's result. A
+    /// link names one slot as `consumer * 4 + slot`; `NONE` ends the list.
+    waiters: u32,
+    /// For each operand slot on a producer's waiter list, the next link.
+    next_waiter: [u32; 4],
     seq: u64,
     eff_addr: u64,
     reads: u8,
@@ -208,9 +156,11 @@ impl RobEntry {
         RobEntry {
             state: UopState::Done,
             class: ExecClass::Nop,
-            dep_idx: [NONE; 4],
-            dep_seq: [0; 4],
+            pending: 0,
+            pos: 0,
             writes: [255; 4],
+            waiters: NONE,
+            next_waiter: [NONE; 4],
             seq: 0,
             eff_addr: 0,
             reads: 0,
@@ -254,9 +204,13 @@ pub struct OooCore {
     tail: u32,
     count: u32,
     next_seq: u64,
+    /// The ROB entry that last wrote each register, while it is in flight.
     rat: [u32; 192],
-    rat_seq: [u64; 192],
+    /// The issue window: ROB indices of the uops waiting to issue.
     iq: Vec<u32>,
+    /// Bit `p` is set while the uop at window position `p` has all its
+    /// operands ready.
+    ready: u64,
     lsq_count: u32,
     div_busy_until: u64,
     completions: Vec<Vec<u32>>,
@@ -267,7 +221,12 @@ pub struct OooCore {
 
 impl OooCore {
     /// An empty core.
+    ///
+    /// # Panics
+    /// Panics if the issue window holds more than 64 entries (one bit each
+    /// in the ready mask).
     pub fn new(cfg: CoreConfig) -> OooCore {
+        assert!(cfg.iq_size <= 64, "issue window larger than the ready mask");
         OooCore {
             cfg,
             rob: vec![RobEntry::empty(); cfg.rob_size as usize],
@@ -276,8 +235,8 @@ impl OooCore {
             count: 0,
             next_seq: 1,
             rat: [NONE; 192],
-            rat_seq: [0; 192],
             iq: Vec::with_capacity(cfg.iq_size as usize),
+            ready: 0,
             lsq_count: 0,
             div_busy_until: 0,
             completions: vec![Vec::new(); BUCKETS],
@@ -360,9 +319,9 @@ impl OooCore {
         self.stats = self.idle_stats(n);
     }
 
-    /// Mark completions due at `now`; returns the resolution cycle of a
-    /// completing mispredicted branch, if any (the front end resumes at
-    /// `resolution + mispredict_penalty`).
+    /// Mark completions due at `now` and wake the uops waiting on them;
+    /// returns the resolution cycle of a completing mispredicted branch, if
+    /// any (the front end resumes at `resolution + mispredict_penalty`).
     pub fn writeback(
         &mut self,
         now: u64,
@@ -376,20 +335,30 @@ impl OooCore {
         self.pending[bucket / 64] &= !(1 << (bucket % 64));
         for idx in &done {
             let e = &mut self.rob[*idx as usize];
-            if e.state != UopState::Issued {
-                continue;
-            }
+            // A second completion would wake the waiters twice.
+            debug_assert_eq!(
+                e.state,
+                UopState::Issued,
+                "completion of a uop not in flight"
+            );
             e.state = UopState::Done;
             acct.emit(model, Event::IqWakeup);
-            let writes = e.writes;
-            let mispredict = e.mispredict;
-            for w in writes {
+            for w in e.writes {
                 if w != 255 {
                     acct.emit(model, Event::RegWrite);
                 }
             }
-            if mispredict {
+            if e.mispredict {
                 resolved = Some(now);
+            }
+            let mut link = std::mem::replace(&mut e.waiters, NONE);
+            while link != NONE {
+                let c = &mut self.rob[(link / 4) as usize];
+                link = c.next_waiter[(link % 4) as usize];
+                c.pending -= 1;
+                if c.pending == 0 {
+                    self.ready |= 1 << c.pos;
+                }
             }
         }
         self.completions[bucket] = done;
@@ -401,12 +370,10 @@ impl OooCore {
     /// access the data cache at retirement. Returns (uops, insts) committed.
     pub fn commit(
         &mut self,
-        now: u64,
         mem: &mut MemHierarchy,
         model: &EnergyModel,
         acct: &mut EnergyAccount,
     ) -> (u32, u32) {
-        let _ = now;
         let mut uops = 0;
         let mut insts = 0;
         while self.count > 0 && uops < self.cfg.commit_width {
@@ -415,12 +382,11 @@ impl OooCore {
                 break;
             }
             let e = self.rob[h];
-            // Free the RAT mapping if this entry still owns it.
+            // Free the RAT mapping if this entry still owns it. The RAT
+            // names only entries in flight, so a mapping to this index is
+            // this entry's.
             for w in e.writes {
-                if w != 255
-                    && self.rat[w as usize] == self.head
-                    && self.rat_seq[w as usize] == e.seq
-                {
+                if w != 255 && self.rat[w as usize] == self.head {
                     self.rat[w as usize] = NONE;
                 }
             }
@@ -454,8 +420,14 @@ impl OooCore {
         (uops, insts)
     }
 
-    /// Select and begin execution of ready uops, oldest first, bounded by
-    /// issue width and port counts. Returns the number issued.
+    /// Select and begin execution of ready uops in window order, bounded
+    /// by issue width and port counts. Returns the number issued.
+    ///
+    /// Select visits the ready mask's set bits in position order. An issue
+    /// from position `i` moves the window's last uop into `i`, where the
+    /// scan looks next; a uop that finds no port is passed over. In-order
+    /// issue pops the ready prefix of the window, which dispatch keeps in
+    /// age order, and stalls at the first uop that cannot issue.
     pub fn issue(
         &mut self,
         now: u64,
@@ -467,48 +439,42 @@ impl OooCore {
         if self.iq.is_empty() {
             self.stats.iq_empty_cycles += 1;
         }
-        // In-order issue examines the window in age order and stalls at the
-        // first non-ready uop; the window is re-sorted each cycle because
-        // issue removal perturbs it.
-        if self.cfg.in_order {
-            let rob = &self.rob;
-            self.iq.sort_unstable_by_key(|i| rob[*i as usize].seq);
-        }
+        let in_order = self.cfg.in_order;
+        debug_assert!(
+            !in_order
+                || self
+                    .iq
+                    .windows(2)
+                    .all(|w| self.rob[w[0] as usize].seq < self.rob[w[1] as usize].seq),
+            "in-order window out of age order"
+        );
         let mut issued = 0u32;
         let mut ports_int = self.cfg.ports.int_alu;
         let mut ports_mem = self.cfg.ports.mem;
         let mut ports_fp = self.cfg.ports.fp;
         let mut ports_br = self.cfg.ports.branch;
         let mut ports_simd = self.cfg.ports.simd;
-        let mut i = 0;
-        while i < self.iq.len() && issued < self.cfg.issue_width {
-            let idx = self.iq[i] as usize;
-            let ready = {
-                let e = &self.rob[idx];
-                (0..4).all(|k| {
-                    let d = e.dep_idx[k];
-                    d == NONE || {
-                        let p = &self.rob[d as usize];
-                        p.seq != e.dep_seq[k] || p.state == UopState::Done
-                    }
-                })
-            };
-            if !ready {
-                if self.cfg.in_order {
-                    break; // strict age order: stall at the first non-ready uop
-                }
-                i += 1;
-                continue;
+        // The first window position the scan has not passed over.
+        let mut from = 0u32;
+        while issued < self.cfg.issue_width {
+            let cand = self.ready & u64::MAX.checked_shl(from).unwrap_or(0);
+            if cand == 0 {
+                break;
             }
+            let i = cand.trailing_zeros();
+            if in_order && i != from {
+                break; // strict age order: stall at the first non-ready uop
+            }
+            let idx = self.iq[i as usize] as usize;
             let class = self.rob[idx].class;
             let port = match class {
                 ExecClass::IntAlu | ExecClass::IntMul | ExecClass::Nop => &mut ports_int,
                 ExecClass::IntDiv => {
                     if now < self.div_busy_until {
-                        if self.cfg.in_order {
+                        if in_order {
                             break;
                         }
-                        i += 1;
+                        from = i + 1;
                         continue;
                     }
                     &mut ports_int
@@ -519,10 +485,10 @@ impl OooCore {
                 ExecClass::Simd => &mut ports_simd,
             };
             if *port == 0 {
-                if self.cfg.in_order {
+                if in_order {
                     break;
                 }
-                i += 1;
+                from = i + 1;
                 continue;
             }
             *port -= 1;
@@ -573,21 +539,40 @@ impl OooCore {
             let bucket = (complete as usize) % BUCKETS;
             self.completions[bucket].push(idx as u32);
             self.pending[bucket / 64] |= 1 << (bucket % 64);
-            if self.cfg.in_order {
-                // Preserve age order for the strict in-order scan.
-                self.iq.remove(i);
+            if in_order {
+                from = i + 1; // popped below, with the rest of the prefix
             } else {
-                // swap_remove breaks age order within the window; re-examine
-                // the swapped-in element at the same position next iteration.
-                self.iq.swap_remove(i);
+                self.swap_remove_from_window(i as usize);
+                from = i;
             }
             issued += 1;
             self.stats.issued_uops += 1;
+        }
+        if in_order && from > 0 {
+            let k = from as usize;
+            self.iq.drain(..k);
+            self.ready = self.ready.checked_shr(from).unwrap_or(0);
+            for &idx in &self.iq {
+                self.rob[idx as usize].pos -= k as u8;
+            }
         }
         if issued == 0 && !self.iq.is_empty() {
             self.stats.issue_blocked_cycles += 1;
         }
         issued
+    }
+
+    /// Take the uop at window position `i` out of the window: the last uop
+    /// moves into `i`, and its ready bit with it.
+    fn swap_remove_from_window(&mut self, i: usize) {
+        let last = self.iq.len() - 1;
+        let last_ready = (self.ready >> last) & 1;
+        self.ready &= !(1 << last);
+        self.iq.swap_remove(i);
+        if i < last {
+            self.ready = (self.ready & !(1 << i)) | (last_ready << i);
+            self.rob[self.iq[i] as usize].pos = i as u8;
+        }
     }
 
     /// Can another uop be dispatched this cycle (structural hazards only;
@@ -626,14 +611,19 @@ impl OooCore {
         e.mispredict = d.mispredict;
         e.simd_lanes = d.simd_lanes;
 
+        // Each operand whose producer is still in flight and not Done
+        // joins that producer's waiter list. The RAT names only entries in
+        // flight: commit clears a mapping its entry still owns.
         let mut nr = 0u8;
         for (k, r) in d.reads.iter().enumerate() {
             if let Some(r) = r {
                 nr += 1;
                 let p = self.rat[r.index()];
-                if p != NONE {
-                    e.dep_idx[k] = p;
-                    e.dep_seq[k] = self.rat_seq[r.index()];
+                if p != NONE && self.rob[p as usize].state != UopState::Done {
+                    let producer = &mut self.rob[p as usize];
+                    e.next_waiter[k] = producer.waiters;
+                    producer.waiters = idx * 4 + k as u32;
+                    e.pending += 1;
                 }
             }
         }
@@ -642,12 +632,16 @@ impl OooCore {
             if let Some(w) = w {
                 e.writes[k] = w.index() as u8;
                 self.rat[w.index()] = idx;
-                self.rat_seq[w.index()] = seq;
             }
         }
 
         if matches!(d.class, ExecClass::Load | ExecClass::Store) {
             self.lsq_count += 1;
+        }
+        let pos = self.iq.len();
+        e.pos = pos as u8;
+        if e.pending == 0 {
+            self.ready |= 1 << pos;
         }
         self.rob[idx as usize] = e;
         self.iq.push(idx);
@@ -685,7 +679,7 @@ pub fn emit_data_events(level: ServicedBy, model: &EnergyModel, acct: &mut Energ
 mod tests {
     use super::*;
     use parrot_energy::EnergyConfig;
-    use parrot_isa::{AluOp, Cond, Uop};
+    use parrot_isa::{AluOp, Cond, Reg, Uop};
 
     struct Rig {
         core: OooCore,
@@ -708,9 +702,7 @@ mod tests {
 
         fn cycle(&mut self) -> (u32, u32) {
             self.core.writeback(self.now, &self.model, &mut self.acct);
-            let c = self
-                .core
-                .commit(self.now, &mut self.mem, &self.model, &mut self.acct);
+            let c = self.core.commit(&mut self.mem, &self.model, &mut self.acct);
             self.core
                 .issue(self.now, &mut self.mem, &self.model, &mut self.acct);
             self.now += 1;
@@ -796,8 +788,7 @@ mod tests {
         let mut resolved = None;
         for _ in 0..20 {
             resolved = resolved.or(rig.core.writeback(rig.now, &rig.model, &mut rig.acct));
-            rig.core
-                .commit(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
+            rig.core.commit(&mut rig.mem, &rig.model, &mut rig.acct);
             rig.core
                 .issue(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
             rig.now += 1;
@@ -872,8 +863,7 @@ mod tests {
             let width = cfg.rename_width;
             while rig.core.stats().committed_uops < 2000 && cycles < 10_000 {
                 rig.core.writeback(rig.now, &rig.model, &mut rig.acct);
-                rig.core
-                    .commit(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
+                rig.core.commit(&mut rig.mem, &rig.model, &mut rig.acct);
                 rig.core
                     .issue(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
                 for i in 0..width {

@@ -28,9 +28,7 @@ impl Rig {
 
     fn cycle(&mut self) -> u32 {
         self.core.writeback(self.now, &self.model, &mut self.acct);
-        let (u, _) = self
-            .core
-            .commit(self.now, &mut self.mem, &self.model, &mut self.acct);
+        let (u, _) = self.core.commit(&mut self.mem, &self.model, &mut self.acct);
         self.core
             .issue(self.now, &mut self.mem, &self.model, &mut self.acct);
         self.now += 1;
