@@ -12,8 +12,7 @@ use crate::faults::{FaultInjector, FaultKind};
 use crate::models::{MachineConfig, TraceConfig};
 use crate::report::{OptReport, SimReport, TraceReport};
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
-use parrot_isa::corrupt::fnv1a_u64;
-use parrot_isa::{ExecClass, Uop};
+use parrot_isa::Uop;
 use parrot_opt::{GateDecision, Optimizer};
 use parrot_telemetry::profile::{self, Stage};
 use parrot_telemetry::{metrics, trace as tev};
@@ -22,23 +21,11 @@ use parrot_trace::{
     TracePredictor, TraceSelector,
 };
 use parrot_uarch::core::{DispatchUop, OooCore};
-use parrot_uarch::frontend::ColdFrontEnd;
+use parrot_uarch::frontend::{ColdFrontEnd, FetchQueue, Side};
 use parrot_uarch::oracle::OracleStream;
 use parrot_workloads::tracefmt::TraceFile;
 use parrot_workloads::{StreamSource, Workload};
-use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Which pipeline a uop belongs to (cores differ only in split models).
-/// `HotOpt` marks uops of *optimized* traces: partial renaming was already
-/// performed by the optimizer, so they rename at trace-fetch width instead
-/// of the cold rename width (the paper's "simplified renaming" benefit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Side {
-    Cold,
-    Hot,
-    HotOpt,
-}
 
 /// Extra cycles charged when a split machine transfers live register state
 /// between its cores.
@@ -191,8 +178,7 @@ pub(crate) struct Machine<'w> {
     mem: parrot_uarch::cache::MemHierarchy,
     cores: Vec<OooCore>,
     frontend: ColdFrontEnd,
-    queue: VecDeque<(Side, DispatchUop)>,
-    cold_buf: VecDeque<DispatchUop>,
+    queue: FetchQueue,
     cold_model: EnergyModel,
     hot_model: EnergyModel,
     acct: EnergyAccount,
@@ -201,7 +187,6 @@ pub(crate) struct Machine<'w> {
     active_side: Side,
     dispatch_blocked_until: u64,
     switches: u64,
-    queue_cap: usize,
     /// After a trace abort, hot entry is suppressed until the oracle cursor
     /// passes this point (guarantees cold forward progress).
     hot_block_cursor: u64,
@@ -212,13 +197,6 @@ pub(crate) struct Machine<'w> {
     /// Armed fault injector (None for fault-free runs: zero overhead, and
     /// trace-cache integrity tagging stays disabled).
     faults: Option<FaultInjector>,
-    /// FNV-1a hash over the effective addresses of store uops, accumulated
-    /// at queue-push time (program order, schedule-independent). Aborted
-    /// traces push nothing, so this log captures exactly the architecturally
-    /// committed stores — the graceful-degradation correctness witness.
-    store_hash: u64,
-    /// Number of store uops folded into `store_hash`.
-    store_count: u64,
     /// Idle cycles the loop jumped over ([`Machine::skip_idle`]).
     skipped_cycles: u64,
 }
@@ -282,8 +260,7 @@ impl<'w> Machine<'w> {
             oracle: OracleStream::from_source(src, max_insts),
             mem: parrot_uarch::cache::MemHierarchy::standard(),
             cores,
-            queue: VecDeque::with_capacity(queue_cap + 8),
-            cold_buf: VecDeque::new(),
+            queue: FetchQueue::new(queue_cap),
             cold_model,
             hot_model,
             acct: EnergyAccount::new(),
@@ -292,13 +269,10 @@ impl<'w> Machine<'w> {
             active_side: Side::Cold,
             dispatch_blocked_until: 0,
             switches: 0,
-            queue_cap,
             hot_block_cursor: 0,
             phase_start: 0,
             phase_hot: false,
             faults,
-            store_hash: 0xcbf2_9ce4_8422_2325,
-            store_count: 0,
             skipped_cycles: 0,
             wl,
         }
@@ -564,7 +538,7 @@ impl<'w> Machine<'w> {
         }
         let split = self.cores.len() > 1;
         let mut dispatched = [0u32; 2];
-        while let Some((side, d)) = self.queue.front().copied() {
+        while let Some((side, d)) = self.queue.front() {
             let phys_side = if side == Side::Cold {
                 Side::Cold
             } else {
@@ -619,7 +593,7 @@ impl<'w> Machine<'w> {
                 &self.hot_model
             };
             self.cores[idx].dispatch(&d, model, &mut self.acct);
-            self.queue.pop_front();
+            self.queue.pop();
             dispatched[idx] += 1;
         }
         dispatched != [0, 0]
@@ -635,7 +609,7 @@ impl<'w> Machine<'w> {
             return self.deliver_hot();
         }
         profile::enter(Stage::Frontend);
-        if !self.frontend.ready(self.now) || self.queue.len() >= self.queue_cap {
+        if !self.frontend.ready(self.now) || self.queue.full() {
             return false;
         }
         if self.oracle.exhausted() {
@@ -662,41 +636,52 @@ impl<'w> Machine<'w> {
         }
         // Cold pipeline fetch (a failed hot entry left the trace cache open).
         profile::enter(Stage::Frontend);
-        let before = self.oracle.cursor();
-        self.frontend.fetch_cycle(
+        let taken = self.frontend.fetch_cycle(
             self.now,
             &mut self.oracle,
             self.wl,
             &mut self.mem,
             &self.cold_model,
             &mut self.acct,
-            &mut self.cold_buf,
+            &mut self.queue,
         );
-        while let Some(d) = self.cold_buf.pop_front() {
-            if matches!(d.class, ExecClass::Store) {
-                self.store_count += 1;
-                self.store_hash = fnv1a_u64(self.store_hash, d.eff_addr);
-            }
-            self.queue.push_back((Side::Cold, d));
-        }
-        let after = self.oracle.cursor();
-        if let Some(ts) = &mut self.trace {
-            // Selection, the hot filter and construction.
-            profile::enter(Stage::TraceCache);
-            ts.cold_insts += after - before;
-            for seq in before..after {
-                let d = self.oracle.get(seq).expect("recently consumed");
-                ts.observe_inst(
-                    &d,
-                    seq,
-                    self.wl,
-                    &self.cold_model,
-                    &mut self.acct,
-                    &mut self.faults,
-                );
-            }
-        }
+        self.consume(taken, false);
         true
+    }
+
+    /// Consume the `n` instructions fetch just took, popping each from the
+    /// oracle and, on a trace model, observing it as it is popped
+    /// (selection, the hot filter and construction): the one point where
+    /// committed instructions leave the stream. A hot entry (`hot`) also
+    /// patches each one's effective address into the streaming trace.
+    fn consume(&mut self, n: u32, hot: bool) {
+        let Some(ts) = &mut self.trace else {
+            for _ in 0..n {
+                self.oracle.pop().expect("fetched instruction exists");
+            }
+            return;
+        };
+        profile::enter(Stage::TraceCache);
+        let from = self.oracle.cursor();
+        for k in 0..n {
+            let d = self.oracle.pop().expect("fetched instruction exists");
+            if hot {
+                ts.hot_run.patch(k, d.eff_addr);
+            }
+            ts.observe_inst(
+                &d,
+                from + u64::from(k),
+                self.wl,
+                &self.cold_model,
+                &mut self.acct,
+                &mut self.faults,
+            );
+        }
+        if hot {
+            ts.hot_insts += u64::from(n);
+        } else {
+            ts.cold_insts += u64::from(n);
+        }
     }
 
     /// Try to enter the hot pipeline at the current trace boundary. Returns
@@ -941,23 +926,10 @@ impl<'w> Machine<'w> {
         debug_assert!(ts.tc.verify_integrity(&chosen), "corrupted frame streams");
         ts.hot_run.load(ts.tc.fetch(&chosen).expect("resident"));
 
-        // Consume the covered instructions from the oracle, patching their
-        // effective addresses and feeding the background phase.
-        let from = self.oracle.cursor();
-        for k in 0..num_insts {
-            let d = self.oracle.pop().expect("matched path exists");
-            ts.hot_run.patch(k, d.eff_addr);
-            ts.observe_inst(
-                &d,
-                from + u64::from(k),
-                self.wl,
-                &self.cold_model,
-                &mut self.acct,
-                &mut self.faults,
-            );
-        }
+        self.consume(num_insts, true);
+        let ts = self.trace.as_mut().expect("trace state");
         debug_assert_eq!(ts.hot_run.patched, ts.hot_run.addr_slots.len());
-        ts.hot_insts += u64::from(num_insts);
+        // Read after the background pass, which may have evicted the frame.
         ts.hot_run.optimized =
             ts.tc.peek(&chosen).map(|f| f.opt_level) == Some(OptLevel::Optimized);
         if tev::active() {
@@ -991,13 +963,8 @@ impl<'w> Machine<'w> {
             Side::Hot
         };
         let mut n = 0;
-        while n < width && run.active() && self.queue.len() < self.queue_cap {
-            let du = run.dus[run.pos];
-            if matches!(du.class, ExecClass::Store) {
-                self.store_count += 1;
-                self.store_hash = fnv1a_u64(self.store_hash, du.eff_addr);
-            }
-            self.queue.push_back((side, du));
+        while n < width && run.active() && !self.queue.full() {
+            self.queue.push(side, run.dus[run.pos]);
             self.acct.emit(&self.cold_model, Event::TcRead);
             run.pos += 1;
             n += 1;
@@ -1018,9 +985,26 @@ impl<'w> Machine<'w> {
         n > 0
     }
 
+    /// # Panics
+    /// Panics on a trace model whose instruction ledger does not balance:
+    /// every committed instruction must have been consumed from the stream
+    /// once (hot or cold) and observed by the selector once.
     fn finish(mut self) -> SimReport {
         self.acct.finish_static(&self.cold_model, self.now);
         let insts = self.committed_insts();
+        if let Some(ts) = &self.trace {
+            let consumed = ts.hot_insts + ts.cold_insts;
+            let observed = self.acct.count(Event::SelectorStep);
+            assert!(
+                consumed == insts && observed == consumed,
+                "{}/{}: instruction ledger broken: {} hot + {} cold consumed, \
+                 {observed} observed, {insts} committed",
+                self.label,
+                self.wl.profile.name,
+                ts.hot_insts,
+                ts.cold_insts,
+            );
+        }
         if tev::active() {
             // Close the open fetch-phase span at end of simulation.
             let name = if self.phase_hot { "hot" } else { "cold" };
@@ -1050,6 +1034,7 @@ impl<'w> Machine<'w> {
         let insts = self.committed_insts();
         let uops: u64 = self.cores.iter().map(|c| c.stats().committed_uops).sum();
         let fe = self.frontend.stats();
+        let (store_log_hash, committed_stores) = self.queue.store_log();
         let trace = self.trace.as_ref().map(|ts| {
             let total = ts.hot_insts + ts.cold_insts;
             let mut reuse: Vec<u64> = ts.tc.retired_opt_reuse.clone();
@@ -1122,8 +1107,8 @@ impl<'w> Machine<'w> {
                 .map(|c| c.stats().issue_blocked_cycles)
                 .sum(),
             state_switches: self.switches,
-            store_log_hash: self.store_hash,
-            committed_stores: self.store_count,
+            store_log_hash,
+            committed_stores,
             faults: self.faults.as_ref().map(|inj| inj.report()),
             trace,
         }

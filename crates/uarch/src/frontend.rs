@@ -1,5 +1,6 @@
 //! The cold-pipeline front end: I-cache fetch along the (predicted) path,
-//! branch prediction, and width/complexity-constrained CISC decode.
+//! branch prediction, and width/complexity-constrained CISC decode; and the
+//! fetch queue both the cold and the hot pipeline deliver into.
 //!
 //! Trace-driven discipline: only correct-path instructions are delivered.
 //! A misprediction stalls fetch at the offending branch; when the core
@@ -12,9 +13,96 @@ use crate::cache::{MemHierarchy, ServicedBy};
 use crate::core::{CoreConfig, DispatchUop};
 use crate::oracle::OracleStream;
 use parrot_energy::{EnergyAccount, EnergyModel, Event};
-use parrot_isa::InstKind;
+use parrot_isa::corrupt::fnv1a_u64;
+use parrot_isa::{ExecClass, InstKind};
 use parrot_workloads::Workload;
 use std::collections::VecDeque;
+
+/// Which pipeline a queued uop came from (cores differ only in split
+/// models). `HotOpt` marks uops of *optimized* traces: partial renaming was
+/// already performed by the optimizer, so they rename at trace-fetch width
+/// instead of the cold rename width (the paper's "simplified renaming"
+/// benefit).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The cold front end (I-cache fetch and decode).
+    Cold,
+    /// An unoptimized trace from the trace cache.
+    Hot,
+    /// An optimized trace from the trace cache.
+    HotOpt,
+}
+
+/// The one queue between fetch (cold or hot) and dispatch. It also keeps
+/// the committed-store log: an FNV-1a hash over the effective addresses of
+/// store uops, folded as each is pushed (program order, schedule
+/// independent). Aborted traces push nothing, so the log captures exactly
+/// the architecturally committed stores — the graceful-degradation
+/// correctness witness.
+#[derive(Debug)]
+pub struct FetchQueue {
+    uops: VecDeque<(Side, DispatchUop)>,
+    cap: usize,
+    store_hash: u64,
+    store_count: u64,
+}
+
+impl FetchQueue {
+    /// An empty queue that reports [`FetchQueue::full`] at `cap` uops.
+    pub fn new(cap: usize) -> FetchQueue {
+        FetchQueue {
+            uops: VecDeque::with_capacity(cap + 8),
+            cap,
+            store_hash: 0xcbf2_9ce4_8422_2325,
+            store_count: 0,
+        }
+    }
+
+    /// Append a fetched uop, folding it into the store log if it is a store.
+    #[inline]
+    pub fn push(&mut self, side: Side, du: DispatchUop) {
+        if matches!(du.class, ExecClass::Store) {
+            self.store_count += 1;
+            self.store_hash = fnv1a_u64(self.store_hash, du.eff_addr);
+        }
+        self.uops.push_back((side, du));
+    }
+
+    /// The oldest queued uop.
+    #[inline]
+    pub fn front(&self) -> Option<(Side, DispatchUop)> {
+        self.uops.front().copied()
+    }
+
+    /// Remove and return the oldest queued uop.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Side, DispatchUop)> {
+        self.uops.pop_front()
+    }
+
+    /// Queued uops.
+    pub fn len(&self) -> usize {
+        self.uops.len()
+    }
+
+    /// Is the queue empty?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.uops.is_empty()
+    }
+
+    /// Has the queue reached its capacity? Fetch starts no cycle then (a
+    /// cycle already started may overfill it by one fetch width).
+    #[inline]
+    pub fn full(&self) -> bool {
+        self.uops.len() >= self.cap
+    }
+
+    /// The store log: `(hash, stores folded)`.
+    pub fn store_log(&self) -> (u64, u64) {
+        (self.store_hash, self.store_count)
+    }
+}
 
 /// Front-end statistics (feeds Fig 4.7).
 #[derive(Clone, Copy, Debug, Default)]
@@ -111,7 +199,9 @@ impl ColdFrontEnd {
     }
 
     /// Fetch and decode one cycle's worth of instructions from the oracle,
-    /// appending dispatchable uops to `out`.
+    /// pushing their uops into `out` as [`Side::Cold`]. Returns how many
+    /// instructions it took: they are the next ones in `oracle`, which this
+    /// only peeks, and the caller consumes them.
     ///
     /// Stops early at: fetch/decode width, a complex-decode limit, a
     /// predicted-taken branch (one per cycle), an I-cache miss, a BTB miss
@@ -125,14 +215,10 @@ impl ColdFrontEnd {
         mem: &mut MemHierarchy,
         model: &EnergyModel,
         acct: &mut EnergyAccount,
-        out: &mut VecDeque<DispatchUop>,
-    ) {
+        out: &mut FetchQueue,
+    ) -> u32 {
         if now < self.resume_at || self.waiting_on_branch {
-            return;
-        }
-        // Keep the decoupling queue shallow.
-        if out.len() >= 3 * self.cfg.decode_uops as usize {
-            return;
+            return 0;
         }
         let mut insts = 0u32;
         let mut uops = 0u32;
@@ -140,7 +226,9 @@ impl ColdFrontEnd {
         let mut line_this_cycle = u64::MAX;
 
         while insts < self.cfg.fetch_width {
-            let Some(d) = oracle.peek(0) else { break };
+            let Some(d) = oracle.peek(u64::from(insts)) else {
+                break;
+            };
             let decoded = wl.decoded.uops(d.inst);
             let n = decoded.len() as u32;
             if uops + n > self.cfg.decode_uops {
@@ -237,13 +325,12 @@ impl ColdFrontEnd {
                 if mispredict && last {
                     du.mispredict = true;
                 }
-                out.push_back(du);
+                out.push(Side::Cold, du);
             }
             uops += n;
             insts += 1;
             self.stats.fetched_insts += 1;
             self.stats.fetched_uops += u64::from(n);
-            oracle.pop();
 
             if mispredict {
                 // Fetch stalls until the core resolves this branch; the
@@ -265,6 +352,7 @@ impl ColdFrontEnd {
                 break; // one taken branch per fetch cycle
             }
         }
+        insts
     }
 }
 
@@ -274,103 +362,104 @@ mod tests {
     use parrot_energy::EnergyConfig;
     use parrot_workloads::{app_by_name, AppProfile, Suite};
 
-    struct Rig {
-        wl: Workload,
+    struct Rig<'w> {
+        wl: &'w Workload,
         mem: MemHierarchy,
         model: EnergyModel,
         acct: EnergyAccount,
         fe: ColdFrontEnd,
-        out: VecDeque<DispatchUop>,
+        out: FetchQueue,
     }
 
-    fn rig(profile: &AppProfile) -> Rig {
+    fn rig(wl: &Workload) -> Rig<'_> {
         Rig {
-            wl: Workload::build(profile),
+            wl,
             mem: MemHierarchy::standard(),
             model: EnergyModel::new(&EnergyConfig::narrow()),
             acct: EnergyAccount::new(),
             fe: ColdFrontEnd::new(CoreConfig::narrow(), BpredConfig::baseline_4k()),
-            out: VecDeque::new(),
+            out: FetchQueue::new(64),
+        }
+    }
+
+    impl Rig<'_> {
+        /// One fetch cycle at `now`, consuming the instructions it took
+        /// from `oracle` as the machine does. Returns how many it took.
+        fn fetch(&mut self, now: u64, oracle: &mut OracleStream<'_>) -> u32 {
+            let n = self.fe.fetch_cycle(
+                now,
+                oracle,
+                self.wl,
+                &mut self.mem,
+                &self.model,
+                &mut self.acct,
+                &mut self.out,
+            );
+            for _ in 0..n {
+                oracle.pop().expect("fetched instruction exists");
+            }
+            n
+        }
+
+        fn clear(&mut self) {
+            while self.out.pop().is_some() {}
         }
     }
 
     #[test]
     fn delivers_uops_in_order_with_boundaries() {
-        let mut r = rig(&AppProfile::suite_base(Suite::SpecInt));
-        let mut oracle = OracleStream::new(r.wl.engine(), 2_000);
+        let wl = Workload::build(&AppProfile::suite_base(Suite::SpecInt));
+        let mut r = rig(&wl);
+        let mut oracle = OracleStream::new(wl.engine(), 2_000);
         let mut now = 0u64;
         let mut insts = 0u64;
         while !oracle.exhausted() && now < 100_000 {
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
+            let taken = r.fetch(now, &mut oracle);
             // Drain the queue, counting macro boundaries; unstick mispredicts
             // by pretending instant resolution.
-            while let Some(d) = r.out.pop_front() {
-                if d.inst_credit > 0 {
-                    insts += u64::from(d.inst_credit);
-                }
+            let mut delivered = 0u64;
+            while let Some((side, d)) = r.out.pop() {
+                assert_eq!(side, Side::Cold);
+                delivered += u64::from(d.inst_credit);
                 if d.mispredict {
                     r.fe.branch_resolved(now);
                 }
             }
+            assert_eq!(
+                delivered,
+                u64::from(taken),
+                "one boundary per instruction taken"
+            );
+            insts += delivered;
             now += 1;
         }
         assert_eq!(insts, 2_000, "every instruction must arrive exactly once");
+        assert_eq!(oracle.cursor(), 2_000);
     }
 
     #[test]
     fn branch_mispredicts_stall_fetch() {
-        let mut r = rig(&AppProfile::suite_base(Suite::SpecInt));
-        let mut oracle = OracleStream::new(r.wl.engine(), 5_000);
+        let wl = Workload::build(&AppProfile::suite_base(Suite::SpecInt));
+        let mut r = rig(&wl);
+        let mut oracle = OracleStream::new(wl.engine(), 5_000);
         let mut stall_seen = false;
         let mut now = 0;
         while !oracle.exhausted() && now < 50_000 {
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
+            r.fetch(now, &mut oracle);
             if r.fe.waiting_on_branch() {
                 stall_seen = true;
                 let before = oracle.cursor();
-                r.fe.fetch_cycle(
-                    now + 1,
-                    &mut oracle,
-                    &r.wl,
-                    &mut r.mem,
-                    &r.model,
-                    &mut r.acct,
-                    &mut r.out,
-                );
+                r.fetch(now + 1, &mut oracle);
                 assert_eq!(oracle.cursor(), before, "no fetch while waiting on branch");
                 r.fe.branch_resolved(now + 1);
                 let penalty = u64::from(CoreConfig::narrow().mispredict_penalty);
-                r.fe.fetch_cycle(
-                    now + 2,
-                    &mut oracle,
-                    &r.wl,
-                    &mut r.mem,
-                    &r.model,
-                    &mut r.acct,
-                    &mut r.out,
-                );
+                r.fetch(now + 2, &mut oracle);
                 assert_eq!(oracle.cursor(), before, "redirect penalty must elapse");
                 now += 2 + penalty;
-                r.out.clear();
+                r.clear();
                 continue;
             }
-            r.out.clear();
+            r.clear();
             now += 1;
         }
         assert!(stall_seen, "SpecInt must mispredict sometimes");
@@ -379,23 +468,16 @@ mod tests {
     #[test]
     fn specfp_predicts_better_than_specint() {
         let rate = |profile: &AppProfile| {
-            let mut r = rig(profile);
-            let mut oracle = OracleStream::new(r.wl.engine(), 60_000);
+            let wl = Workload::build(profile);
+            let mut r = rig(&wl);
+            let mut oracle = OracleStream::new(wl.engine(), 60_000);
             let mut now = 0;
             while !oracle.exhausted() && now < 2_000_000 {
-                r.fe.fetch_cycle(
-                    now,
-                    &mut oracle,
-                    &r.wl,
-                    &mut r.mem,
-                    &r.model,
-                    &mut r.acct,
-                    &mut r.out,
-                );
+                r.fetch(now, &mut oracle);
                 if r.fe.waiting_on_branch() {
                     r.fe.branch_resolved(now);
                 }
-                r.out.clear();
+                r.clear();
                 now += 1;
             }
             let s = r.fe.stats();
@@ -419,25 +501,16 @@ mod tests {
 
     #[test]
     fn fetch_respects_width() {
-        let mut r = rig(&AppProfile::suite_base(Suite::SpecFp));
-        let mut oracle = OracleStream::new(r.wl.engine(), 10_000);
+        let wl = Workload::build(&AppProfile::suite_base(Suite::SpecFp));
+        let mut r = rig(&wl);
+        let mut oracle = OracleStream::new(wl.engine(), 10_000);
         for now in 0..2_000u64 {
-            let before = oracle.cursor();
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
-            let fetched = oracle.cursor() - before;
-            assert!(fetched <= u64::from(CoreConfig::narrow().fetch_width));
+            let fetched = r.fetch(now, &mut oracle);
+            assert!(fetched <= CoreConfig::narrow().fetch_width);
             if r.fe.waiting_on_branch() {
                 r.fe.branch_resolved(now);
             }
-            r.out.clear();
+            r.clear();
         }
     }
 }

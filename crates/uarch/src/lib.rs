@@ -2,9 +2,9 @@
 //!
 //! The cycle-level microarchitecture substrate of the PARROT reproduction:
 //! branch predictors ([`bpred`]), a parametric cache hierarchy ([`cache`]),
-//! a rewindable oracle over the committed stream ([`oracle`]), the
+//! a lookahead oracle over the committed stream ([`oracle`]), the
 //! width-configurable out-of-order core ([`core`]) and the cold-pipeline
-//! front end ([`frontend`]).
+//! front end with the fetch queue ([`frontend`]).
 //!
 //! This is the stand-in for the paper's in-house performance simulator
 //! (§3.1): trace-driven, with a full memory hierarchy and a generic

@@ -1,27 +1,24 @@
-//! A rewindable window over the committed instruction stream.
+//! A lookahead buffer over the committed instruction stream.
 //!
 //! Trace-driven simulation consumes the architectural (oracle) stream in
-//! order, but PARROT needs two extra capabilities: *peeking ahead* (to match
-//! a predicted trace against the upcoming path) and *rewinding* (an aborted
-//! atomic trace restores state to the trace start, so its instructions are
-//! re-fetched cold). [`OracleStream`] buffers a sliding window to support
-//! both.
+//! order, and PARROT also *peeks ahead*: the fetch selector matches a
+//! predicted trace's recorded path against the upcoming instructions, and
+//! the cold front end decides how many instructions one fetch cycle takes.
+//! Nothing is consumed before that decision, so an aborted atomic trace
+//! never rewinds: its instructions are still ahead of the cursor, and the
+//! cold pipeline fetches them next. [`OracleStream`] buffers only what has
+//! been peeked and not yet popped.
 
 use parrot_workloads::{DynInst, ExecutionEngine, StreamSource};
 use std::collections::VecDeque;
 
-/// How many already-consumed instructions stay buffered for rewind (must
-/// exceed the largest trace: 64 uops ≥ 64 instructions).
-const RETAIN: u64 = 256;
-
-/// Sliding, rewindable window over a [`StreamSource`]'s output (live engine
-/// or trace replay), bounded by an instruction budget.
+/// Lookahead buffer over a [`StreamSource`]'s output (live engine or trace
+/// replay), bounded by an instruction budget.
 #[derive(Debug)]
 pub struct OracleStream<'p> {
     src: StreamSource<'p>,
-    buf: VecDeque<DynInst>,
-    /// Sequence number of `buf[0]`.
-    base: u64,
+    /// Pulled but not yet consumed; `ahead[0]` has sequence `cursor`.
+    ahead: VecDeque<DynInst>,
     /// Next sequence number to be consumed.
     cursor: u64,
     /// Total instructions the stream will supply.
@@ -40,8 +37,7 @@ impl<'p> OracleStream<'p> {
     pub fn from_source(src: StreamSource<'p>, limit: u64) -> OracleStream<'p> {
         OracleStream {
             src,
-            buf: VecDeque::with_capacity(512),
-            base: 0,
+            ahead: VecDeque::with_capacity(128),
             cursor: 0,
             limit,
         }
@@ -50,7 +46,7 @@ impl<'p> OracleStream<'p> {
     /// Total instructions pulled from the underlying source so far (the
     /// basis of the `replay:read` reconciliation counter).
     pub fn pulled(&self) -> u64 {
-        self.base + self.buf.len() as u64
+        self.cursor + self.ahead.len() as u64
     }
 
     /// Is the underlying source a trace replay?
@@ -73,52 +69,26 @@ impl<'p> OracleStream<'p> {
         self.cursor >= self.limit
     }
 
-    /// The instruction at absolute sequence `seq`, if within budget.
-    ///
-    /// # Panics
-    /// Panics if `seq` has already been dropped from the rewind window.
-    pub fn get(&mut self, seq: u64) -> Option<DynInst> {
-        if seq >= self.limit {
+    /// Peek `ahead` instructions past the cursor (0 = next to consume),
+    /// if within budget.
+    pub fn peek(&mut self, ahead: u64) -> Option<DynInst> {
+        if ahead >= self.remaining() {
             return None;
         }
-        assert!(
-            seq >= self.base,
-            "sequence {seq} dropped from rewind window (base {})",
-            self.base
-        );
-        while self.base + self.buf.len() as u64 <= seq {
+        let k = ahead as usize;
+        while self.ahead.len() <= k {
             let d = self.src.next_inst();
-            self.buf.push_back(d);
+            self.ahead.push_back(d);
         }
-        Some(self.buf[(seq - self.base) as usize])
-    }
-
-    /// Peek `ahead` instructions past the cursor (0 = next to consume).
-    pub fn peek(&mut self, ahead: u64) -> Option<DynInst> {
-        self.get(self.cursor + ahead)
+        Some(self.ahead[k])
     }
 
     /// Consume and return the instruction at the cursor.
     pub fn pop(&mut self) -> Option<DynInst> {
-        let d = self.get(self.cursor)?;
+        let d = self.peek(0)?;
+        self.ahead.pop_front();
         self.cursor += 1;
-        // Trim the window, keeping RETAIN entries behind the cursor.
-        while self.cursor.saturating_sub(self.base) > RETAIN {
-            self.buf.pop_front();
-            self.base += 1;
-        }
         Some(d)
-    }
-
-    /// Rewind the cursor to `seq` (a trace abort re-fetching from the trace
-    /// start).
-    ///
-    /// # Panics
-    /// Panics if `seq` is ahead of the cursor or outside the rewind window.
-    pub fn rewind(&mut self, seq: u64) {
-        assert!(seq <= self.cursor, "rewind must move backwards");
-        assert!(seq >= self.base, "rewind target outside retained window");
-        self.cursor = seq;
     }
 }
 
@@ -126,21 +96,6 @@ impl<'p> OracleStream<'p> {
 mod tests {
     use super::*;
     use parrot_workloads::{generate_program, AppProfile, Suite};
-
-    #[test]
-    fn pop_peek_and_rewind() {
-        let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
-        let mut o = OracleStream::new(ExecutionEngine::new(&prog), 10_000);
-        let first = o.peek(0).unwrap();
-        let tenth = o.peek(9).unwrap();
-        assert_eq!(o.pop().unwrap(), first);
-        for _ in 0..50 {
-            o.pop();
-        }
-        o.rewind(9);
-        assert_eq!(o.pop().unwrap(), tenth);
-        assert_eq!(o.cursor(), 10);
-    }
 
     #[test]
     fn respects_budget() {
@@ -153,28 +108,7 @@ mod tests {
         assert_eq!(n, 100);
         assert!(o.exhausted());
         assert_eq!(o.remaining(), 0);
-    }
-
-    #[test]
-    fn window_trims_but_keeps_retention() {
-        let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
-        let mut o = OracleStream::new(ExecutionEngine::new(&prog), 100_000);
-        for _ in 0..10_000 {
-            o.pop();
-        }
-        // Recent history still available for rewind.
-        o.rewind(10_000 - 64);
-        assert!(o.pop().is_some());
-    }
-
-    #[test]
-    #[should_panic]
-    fn rewind_too_far_panics() {
-        let prog = generate_program(&AppProfile::suite_base(Suite::SpecInt));
-        let mut o = OracleStream::new(ExecutionEngine::new(&prog), 100_000);
-        for _ in 0..5000 {
-            o.pop();
-        }
-        o.rewind(0);
+        assert_eq!(o.peek(0), None);
+        assert_eq!(o.pulled(), 100);
     }
 }
