@@ -10,9 +10,9 @@
 //! pure function of `(seed, block id, output dim)`, so features are
 //! deterministic and independent of interval order.
 
-use crate::Interval;
+use crate::{Interval, SampleError};
 use parrot_telemetry::rng::Xorshift64Star;
-use parrot_workloads::tracefmt::{ReplayCursor, TraceError, TraceFile};
+use parrot_workloads::tracefmt::{RunWalker, TraceFile};
 use parrot_workloads::{BlockId, Program, Workload};
 use std::sync::Arc;
 
@@ -28,26 +28,51 @@ pub fn inst_block_table(prog: &Program) -> Vec<BlockId> {
     table
 }
 
-/// Decode `intervals` (which must be contiguous from stream position 0, as
-/// [`crate::intervals_for`] produces) out of the capture and return one
-/// normalized block-frequency vector per interval. Each vector has one slot
-/// per program basic block and sums to 1.
+/// Walk the capture's control events over `intervals` (which must be
+/// contiguous from stream position 0, as [`crate::intervals_for`] produces)
+/// and return one normalized block-frequency vector per interval. Each
+/// vector has one slot per program basic block and sums to 1.
+///
+/// Only instruction ids are needed, so the walk reads the capture as runs
+/// of sequential ids ([`RunWalker`]) and decodes no address; a run that
+/// straddles an interval boundary is split there. The walk stops at the end
+/// of the last interval, wherever the capture ends. Fails with
+/// [`SampleError::Intervals`] on intervals that are not contiguous, and
+/// with [`SampleError::Trace`] if the capture does not bind to `wl` or
+/// ends before the last interval.
 pub fn interval_vectors(
     trace: &Arc<TraceFile>,
     wl: &Workload,
     intervals: &[Interval],
-) -> Result<Vec<Vec<f64>>, TraceError> {
+) -> Result<Vec<Vec<f64>>, SampleError> {
     let table = inst_block_table(&wl.program);
-    let mut cur = ReplayCursor::new(Arc::clone(trace), wl)?;
+    let mut runs = RunWalker::new(trace, wl)?;
     let mut out = Vec::with_capacity(intervals.len());
     let mut counts = vec![0u64; wl.program.blocks.len()];
-    for iv in intervals {
-        debug_assert_eq!(cur.read(), iv.start, "intervals must be contiguous");
-        counts.iter_mut().for_each(|c| *c = 0);
-        for _ in 0..iv.len {
-            let d = cur.try_next()?;
-            counts[table[d.inst as usize] as usize] += 1;
+    // Stream position, and the part of the current run not yet charged.
+    let mut pos = 0u64;
+    let (mut first, mut left) = (0u32, 0u32);
+    for (k, iv) in intervals.iter().enumerate() {
+        if iv.start != pos {
+            return Err(SampleError::Intervals(format!(
+                "interval {k} starts at {}, but the intervals before it end at {pos}",
+                iv.start
+            )));
         }
+        counts.iter_mut().for_each(|c| *c = 0);
+        let mut need = iv.len;
+        while need > 0 {
+            if left == 0 {
+                (first, left) = runs.next_run()?;
+            }
+            let take = u64::from(left).min(need) as u32;
+            for &b in &table[first as usize..(first + take) as usize] {
+                counts[b as usize] += 1;
+            }
+            (first, left) = (first + take, left - take);
+            need -= u64::from(take);
+        }
+        pos += iv.len;
         let inv = 1.0 / iv.len as f64;
         out.push(counts.iter().map(|c| *c as f64 * inv).collect());
     }
@@ -97,7 +122,7 @@ mod tests {
     use super::*;
     use crate::intervals_for;
     use parrot_workloads::app_by_name;
-    use parrot_workloads::tracefmt::capture;
+    use parrot_workloads::tracefmt::{capture, decode_all, TraceError};
 
     fn workload(name: &str) -> Workload {
         Workload::build(&app_by_name(name).expect("registered"))
@@ -130,6 +155,94 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9, "frequencies sum to 1, got {sum}");
             assert!(v.iter().all(|x| *x >= 0.0));
         }
+    }
+
+    /// Block-frequency vectors built the direct way, as a reference for
+    /// [`interval_vectors`]: the whole capture decoded into instructions,
+    /// then each interval's instructions charged one by one.
+    fn reference_vectors(
+        trace: &Arc<TraceFile>,
+        wl: &Workload,
+        intervals: &[Interval],
+    ) -> Vec<Vec<f64>> {
+        let table = inst_block_table(&wl.program);
+        let stream = decode_all(trace, wl).expect("decodes");
+        intervals
+            .iter()
+            .map(|iv| {
+                let mut counts = vec![0u64; wl.program.blocks.len()];
+                for d in &stream[iv.start as usize..(iv.start + iv.len) as usize] {
+                    counts[table[d.inst as usize] as usize] += 1;
+                }
+                let inv = 1.0 / iv.len as f64;
+                counts.iter().map(|c| *c as f64 * inv).collect()
+            })
+            .collect()
+    }
+
+    fn bits(vs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        vs.iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn event_walk_vectors_equal_the_per_instruction_reference_bitwise() {
+        // Slice sizes that do and do not divide the interval lengths, a
+        // budget shorter than the capture, and a final partial interval.
+        let captured = 21_000;
+        for app in ["gcc", "swim", "eon", "vpr"] {
+            let wl = workload(app);
+            for slice in [97, 1_024, 8_192] {
+                let trace = Arc::new(capture(&wl, captured, slice).expect("encodable"));
+                for (budget, interval) in [(20_000, 3_001), (captured, 5_000), (9_999, 1_000)] {
+                    let ivs = intervals_for(budget, interval);
+                    assert!(ivs.last().expect("nonempty").len < interval, "partial tail");
+                    let got = interval_vectors(&trace, &wl, &ivs).expect("walks");
+                    assert_eq!(
+                        bits(&got),
+                        bits(&reference_vectors(&trace, &wl, &ivs)),
+                        "{app}, slice {slice}, budget {budget}, interval {interval}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_contiguous_intervals_and_short_captures_are_errors() {
+        let wl = workload("gzip");
+        let trace = Arc::new(capture(&wl, 4_000, 512).expect("encodable"));
+        let gap = [
+            Interval {
+                start: 0,
+                len: 1_000,
+            },
+            Interval {
+                start: 1_500,
+                len: 1_000,
+            },
+        ];
+        match interval_vectors(&trace, &wl, &gap) {
+            Err(SampleError::Intervals(why)) => assert!(why.contains("interval 1"), "{why}"),
+            other => panic!("a gap must be refused, got {other:?}"),
+        }
+        let late = [Interval {
+            start: 10,
+            len: 100,
+        }];
+        assert!(matches!(
+            interval_vectors(&trace, &wl, &late),
+            Err(SampleError::Intervals(_))
+        ));
+        // Past the end of the capture: the cursor's error, unchanged.
+        assert!(matches!(
+            interval_vectors(&trace, &wl, &intervals_for(5_000, 1_000)),
+            Err(SampleError::Trace(TraceError::TooShort {
+                captured: 4_000,
+                requested: 4_001
+            }))
+        ));
     }
 
     #[test]

@@ -165,6 +165,9 @@ pub enum SampleError {
     EmptyBudget,
     /// The capture could not be read or does not cover the budget.
     Trace(TraceError),
+    /// The intervals handed to [`bbv::interval_vectors`] do not tile the
+    /// stream from position 0.
+    Intervals(String),
 }
 
 impl std::fmt::Display for SampleError {
@@ -172,6 +175,7 @@ impl std::fmt::Display for SampleError {
         match self {
             SampleError::EmptyBudget => write!(f, "cannot sample a zero-instruction budget"),
             SampleError::Trace(e) => write!(f, "capture unusable for sampling: {e}"),
+            SampleError::Intervals(why) => write!(f, "intervals not contiguous: {why}"),
         }
     }
 }

@@ -53,7 +53,7 @@ fn bump(c: &mut u8, up: bool) {
 
 /// A classic McFarling-style hybrid: bimodal + gshare with a chooser,
 /// plus BTB and RAS.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HybridPredictor {
     cfg: BpredConfig,
     bimodal: Vec<u8>,

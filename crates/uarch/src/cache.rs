@@ -53,7 +53,7 @@ impl CacheConfig {
 
 /// A set-associative cache with true-LRU replacement (tags only — this is a
 /// timing/energy model, data lives in the functional layer).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// `tags[set * ways + way]`; `u64::MAX` = invalid.
@@ -168,7 +168,7 @@ pub struct AccessResult {
 
 /// The simulated memory hierarchy: split L1s over a unified L2 over flat
 /// memory.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemHierarchy {
     /// Instruction L1.
     pub l1i: Cache,

@@ -36,7 +36,7 @@ mod encode;
 mod reader;
 
 pub use encode::capture;
-pub use reader::{decode_all, ReplayCursor};
+pub use reader::{decode_all, ReplayCursor, RunWalker};
 
 use std::sync::OnceLock;
 

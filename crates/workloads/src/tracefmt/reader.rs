@@ -181,6 +181,200 @@ impl<'p> ReplayCursor<'p> {
     }
 }
 
+/// One event of a slice's token stream: `run` sequential instructions
+/// from id `first`, then, unless the event is the slice's trailing run, the
+/// control transfer at id `first + run`.
+#[derive(Clone, Copy)]
+struct Step {
+    first: u32,
+    run: u64,
+    /// The closing control transfer: taken, and the successor's id.
+    cti: Option<(bool, u32)>,
+}
+
+/// The token stream of one slice, parsed event by event: section framing,
+/// dictionary and literal tokens and the trailing run, with every framing
+/// and id bound checked as it goes. [`decode_slice`] materializes
+/// instructions from it, [`RunWalker`] only the id runs; neither decodes a
+/// token itself. The address section is located but not read.
+struct SliceEvents<'a> {
+    slice: usize,
+    pl: &'a [u8],
+    dict: Vec<Event>,
+    tok_pos: usize,
+    tok_end: usize,
+    /// The address section, `pl[addr.0..addr.1]`.
+    addr: (usize, usize),
+    /// Id of the next instruction the stream emits.
+    id: u32,
+    /// Instructions of the slice not yet emitted.
+    left: u64,
+    num_insts: usize,
+}
+
+impl<'a> SliceEvents<'a> {
+    /// Frame slice `i` of `trace` for a program of `num_insts`
+    /// instructions.
+    fn open(trace: &'a TraceFile, i: usize, num_insts: usize) -> Result<Self, TraceError> {
+        let entries = trace.slices();
+        let entry = *entries.get(i).ok_or_else(|| {
+            TraceError::Malformed(format!("slice {i} out of range ({})", entries.len()))
+        })?;
+        let per = u64::from(trace.slice_insts());
+        let slice_len = per.min(trace.inst_count() - i as u64 * per);
+
+        // Section framing.
+        let pl = &trace.bytes()[entry.off..entry.off + entry.len];
+        let mut pos = 0usize;
+        let dict_count = *pl
+            .first()
+            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: empty payload")))?
+            as usize;
+        pos += 1;
+        if dict_count >= TOK_LITERAL as usize {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: dictionary of {dict_count} entries exceeds the token space"
+            )));
+        }
+        let mut dict: Vec<Event> = Vec::with_capacity(dict_count);
+        for _ in 0..dict_count {
+            let (ev, used) = read_event(&pl[pos..])
+                .ok_or_else(|| TraceError::Malformed(format!("slice {i}: truncated dictionary")))?;
+            dict.push(ev);
+            pos += used;
+        }
+        let (tok_len, used) = read_varint(&pl[pos..])
+            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing token length")))?;
+        pos += used;
+        let tok_pos = pos;
+        pos = pos
+            .checked_add(tok_len as usize)
+            .filter(|p| *p <= pl.len())
+            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: token section overruns")))?;
+        let tok_end = pos;
+        let (addr_len, used) = read_varint(&pl[pos..])
+            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing address length")))?;
+        pos += used;
+        let addr_pos = pos;
+        pos = pos
+            .checked_add(addr_len as usize)
+            .filter(|p| *p == pl.len())
+            .ok_or_else(|| {
+                TraceError::Malformed(format!("slice {i}: address section does not end the slice"))
+            })?;
+        Ok(SliceEvents {
+            slice: i,
+            pl,
+            dict,
+            tok_pos,
+            tok_end,
+            addr: (addr_pos, pos),
+            id: entry.first_inst,
+            left: slice_len,
+            num_insts,
+        })
+    }
+
+    /// The next event, or `None` once the slice's instructions are all
+    /// emitted and the token section is consumed exactly. Every event makes
+    /// progress (a CTI, or a nonempty trailing run), so a slice ends after
+    /// at most its length in events.
+    #[inline]
+    fn next_step(&mut self) -> Result<Option<Step>, TraceError> {
+        let i = self.slice;
+        let (pl, tok_end) = (self.pl, self.tok_end);
+        if self.left == 0 {
+            if self.tok_pos != tok_end {
+                return Err(TraceError::Malformed(format!(
+                    "slice {i}: token stream overruns the slice"
+                )));
+            }
+            return Ok(None);
+        }
+        if self.tok_pos >= tok_end {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: token stream ends {} instructions early",
+                self.left
+            )));
+        }
+        let tok = pl[self.tok_pos];
+        self.tok_pos += 1;
+        let first = self.id;
+        let ev = match tok {
+            TOK_RUN => {
+                let (run, used) = read_varint(&pl[self.tok_pos..tok_end]).ok_or_else(|| {
+                    TraceError::Malformed(format!("slice {i}: truncated trailing run"))
+                })?;
+                self.tok_pos += used;
+                // A trailing run has no CTI: it must cover exactly the
+                // rest of the slice.
+                if run != self.left {
+                    return Err(TraceError::Malformed(format!(
+                        "slice {i}: trailing run of {run} does not close the slice"
+                    )));
+                }
+                self.id = self.bound_ids(run)?;
+                self.left = 0;
+                return Ok(Some(Step {
+                    first,
+                    run,
+                    cti: None,
+                }));
+            }
+            TOK_LITERAL => {
+                let (ev, used) = read_event(&pl[self.tok_pos..tok_end]).ok_or_else(|| {
+                    TraceError::Malformed(format!("slice {i}: truncated literal event"))
+                })?;
+                self.tok_pos += used;
+                ev
+            }
+            d => *self.dict.get(d as usize).ok_or_else(|| {
+                TraceError::Malformed(format!(
+                    "slice {i}: dictionary reference {d} out of range ({})",
+                    self.dict.len()
+                ))
+            })?,
+        };
+        // Saturating: a hand-made run length may be any 64-bit value.
+        let emitted = ev.run.saturating_add(1);
+        if emitted > self.left {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: token stream overruns the slice"
+            )));
+        }
+        self.bound_ids(emitted)?;
+        self.left -= emitted;
+        let cti_id = first + ev.run as u32;
+        let next_id = (i64::from(cti_id) + 1).wrapping_add(ev.delta) as u32;
+        if (next_id as usize) >= self.num_insts {
+            return Err(TraceError::Malformed(format!(
+                "slice {i}: control transfer to id {next_id} outside the program"
+            )));
+        }
+        self.id = next_id;
+        Ok(Some(Step {
+            first,
+            run: ev.run,
+            cti: Some((ev.ctl & 1 != 0, next_id)),
+        }))
+    }
+
+    /// Check that the `n` sequential ids from the next one lie inside the
+    /// program (bounded once per event, not per instruction), and return
+    /// the id after them.
+    fn bound_ids(&self, n: u64) -> Result<u32, TraceError> {
+        let end = u64::from(self.id).saturating_add(n);
+        if end > self.num_insts as u64 {
+            return Err(TraceError::Malformed(format!(
+                "slice {}: instruction id {} outside the program",
+                self.slice,
+                end - 1
+            )));
+        }
+        Ok(end as u32)
+    }
+}
+
 /// Batch-decode slice `i` of `trace` into `buf`, validating the whole
 /// payload (section framing, dictionary references, id bounds, token and
 /// address sections consumed exactly) as it goes. Returns the decoder state
@@ -192,126 +386,18 @@ fn decode_slice(
     buf: &mut Vec<DynInst>,
     last_addr: &mut [u64],
 ) -> Result<(u32, u64), TraceError> {
-    let entries = trace.slices();
-    let entry = *entries.get(i).ok_or_else(|| {
-        TraceError::Malformed(format!("slice {i} out of range ({})", entries.len()))
-    })?;
-    let per = u64::from(trace.slice_insts());
-    let slice_len = per.min(trace.inst_count() - i as u64 * per) as usize;
+    let mut events = SliceEvents::open(trace, i, prog.num_insts())?;
     buf.clear();
-    buf.reserve(slice_len);
+    buf.reserve(events.left as usize);
     last_addr.iter_mut().for_each(|a| *a = 0);
-
-    // Section framing.
-    let data = trace.bytes();
-    let pl = &data[entry.off..entry.off + entry.len];
-    let mut pos = 0usize;
-    let dict_count = *pl
-        .first()
-        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: empty payload")))?
-        as usize;
-    pos += 1;
-    if dict_count >= TOK_LITERAL as usize {
-        return Err(TraceError::Malformed(format!(
-            "slice {i}: dictionary of {dict_count} entries exceeds the token space"
-        )));
-    }
-    let mut dict: Vec<Event> = Vec::with_capacity(dict_count);
-    for _ in 0..dict_count {
-        let (ev, used) = read_event(&pl[pos..])
-            .ok_or_else(|| TraceError::Malformed(format!("slice {i}: truncated dictionary")))?;
-        dict.push(ev);
-        pos += used;
-    }
-    let (tok_len, used) = read_varint(&pl[pos..])
-        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing token length")))?;
-    pos += used;
-    let mut tok_pos = pos;
-    pos = pos
-        .checked_add(tok_len as usize)
-        .filter(|p| *p <= pl.len())
-        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: token section overruns")))?;
-    let tok_end = pos;
-    let (addr_len, used) = read_varint(&pl[pos..])
-        .ok_or_else(|| TraceError::Malformed(format!("slice {i}: missing address length")))?;
-    pos += used;
-    let mut addr_pos = pos;
-    pos = pos
-        .checked_add(addr_len as usize)
-        .filter(|p| *p == pl.len())
-        .ok_or_else(|| {
-            TraceError::Malformed(format!("slice {i}: address section does not end the slice"))
-        })?;
-    let addr_end = pos;
-
-    // Event loop: every event makes progress (a CTI, or a nonempty
-    // trailing run), so this terminates at exactly `slice_len`.
-    let mut id = entry.first_inst;
-    let mut depth = u64::from(entry.start_depth);
-    let num_insts = prog.num_insts();
-    while buf.len() < slice_len {
-        if tok_pos >= tok_end {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: token stream ends {} instructions early",
-                slice_len - buf.len()
-            )));
-        }
-        let tok = pl[tok_pos];
-        tok_pos += 1;
-        let ev = match tok {
-            TOK_LITERAL => {
-                let (ev, used) = read_event(&pl[tok_pos..tok_end]).ok_or_else(|| {
-                    TraceError::Malformed(format!("slice {i}: truncated literal event"))
-                })?;
-                tok_pos += used;
-                ev
-            }
-            TOK_RUN => {
-                let (run, used) = read_varint(&pl[tok_pos..tok_end]).ok_or_else(|| {
-                    TraceError::Malformed(format!("slice {i}: truncated trailing run"))
-                })?;
-                tok_pos += used;
-                // A trailing run has no CTI: it must cover exactly the
-                // rest of the slice.
-                if run != (slice_len - buf.len()) as u64 {
-                    return Err(TraceError::Malformed(format!(
-                        "slice {i}: trailing run of {run} does not close the slice"
-                    )));
-                }
-                Event {
-                    run,
-                    ctl: 0xFF,
-                    delta: 0,
-                }
-            }
-            d => *dict.get(d as usize).ok_or_else(|| {
-                TraceError::Malformed(format!(
-                    "slice {i}: dictionary reference {d} out of range ({})",
-                    dict.len()
-                ))
-            })?,
-        };
-        let trailing = ev.ctl == 0xFF;
-        // Saturating: a hand-made run length may be any 64-bit value.
-        let emitted = ev.run.saturating_add(u64::from(!trailing));
-        if !trailing && (buf.len() as u64).saturating_add(emitted) > slice_len as u64 {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: token stream overruns the slice"
-            )));
-        }
-        // All ids this event emits are sequential from `id`; bound
-        // them once instead of per instruction.
-        let end = u64::from(id).saturating_add(emitted);
-        if end > num_insts as u64 {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: instruction id {} outside the program",
-                end - 1
-            )));
-        }
-        // The event's id range is bounds-checked above, so the run can
-        // iterate the instruction table slice directly.
-        let run_insts = &prog.insts[id as usize..id as usize + ev.run as usize];
-        for inst in run_insts {
+    let pl = events.pl;
+    let (mut addr_pos, addr_end) = events.addr;
+    let mut depth = u64::from(trace.slices()[i].start_depth);
+    while let Some(step) = events.next_step()? {
+        // The event's id range is bounds-checked, so the run can iterate
+        // the instruction table slice directly.
+        let mut id = step.first;
+        for inst in &prog.insts[id as usize..id as usize + step.run as usize] {
             let (eff_addr, has_mem) = eff_addr(
                 prog,
                 &inst.kind,
@@ -333,15 +419,9 @@ fn decode_slice(
             });
             id += 1;
         }
-        if trailing {
+        let Some((taken, next_id)) = step.cti else {
             continue;
-        }
-        let next_id = (i64::from(id) + 1).wrapping_add(ev.delta) as u32;
-        if (next_id as usize) >= num_insts {
-            return Err(TraceError::Malformed(format!(
-                "slice {i}: control transfer to id {next_id} outside the program"
-            )));
-        }
+        };
         let inst = prog.inst(id);
         let (ea, has_mem) = eff_addr(
             prog,
@@ -357,17 +437,11 @@ fn decode_slice(
             inst: id,
             pc: inst.addr,
             len: inst.len,
-            taken: ev.ctl & 1 != 0,
+            taken,
             next_pc: prog.inst(next_id).addr,
             eff_addr: ea,
             has_mem,
         });
-        id = next_id;
-    }
-    if tok_pos != tok_end {
-        return Err(TraceError::Malformed(format!(
-            "slice {i}: token stream overruns the slice"
-        )));
     }
     if addr_pos != addr_end {
         return Err(TraceError::Malformed(format!(
@@ -375,7 +449,75 @@ fn decode_slice(
             addr_end - addr_pos
         )));
     }
-    Ok((id, depth))
+    Ok((events.id, depth))
+}
+
+/// Walks a capture's control events from its start and yields the
+/// committed stream as runs of sequential instruction ids, decoding no
+/// address: the form a consumer that only needs *which* instructions ran
+/// (phase vectors) reads.
+///
+/// Construction runs [`TraceFile::check_source`], as [`ReplayCursor::new`]
+/// does, so the runs are exactly the ids [`ReplayCursor`] would emit.
+///
+/// ```
+/// use parrot_workloads::tracefmt::{capture, RunWalker};
+/// use parrot_workloads::{app_by_name, Workload};
+///
+/// let wl = Workload::build(&app_by_name("gcc").expect("registered"));
+/// let trace = capture(&wl, 1_000, 256).expect("encodable");
+/// let mut runs = RunWalker::new(&trace, &wl).expect("source matches");
+/// let mut ids = Vec::new();
+/// while ids.len() < 1_000 {
+///     let (first, count) = runs.next_run().expect("inside the capture");
+///     ids.extend(first..first + count);
+/// }
+/// let live: Vec<u32> = wl.engine().take(1_000).map(|d| d.inst).collect();
+/// assert_eq!(ids, live);
+/// assert!(runs.next_run().is_err(), "the capture ends at 1,000");
+/// ```
+pub struct RunWalker<'a> {
+    trace: &'a TraceFile,
+    events: SliceEvents<'a>,
+    /// Instructions yielded so far.
+    read: u64,
+}
+
+impl<'a> RunWalker<'a> {
+    /// Open a walker at the start of the capture. Fails as
+    /// [`ReplayCursor::new`] does.
+    pub fn new(trace: &'a TraceFile, wl: &Workload) -> Result<RunWalker<'a>, TraceError> {
+        trace.check_source(wl)?;
+        Ok(RunWalker {
+            trace,
+            events: SliceEvents::open(trace, 0, wl.program.num_insts())?,
+            read: 0,
+        })
+    }
+
+    /// The next run as `(first id, count)`: `count ≥ 1` instructions with
+    /// ids `first, first + 1, …` in stream order. A run never crosses a
+    /// slice boundary. Fails with [`TraceError::TooShort`] past the end of
+    /// the capture.
+    #[inline]
+    pub fn next_run(&mut self) -> Result<(u32, u32), TraceError> {
+        loop {
+            if let Some(step) = self.events.next_step()? {
+                // Nonempty: a trailing run covers the rest of a slice.
+                let count = step.run + u64::from(step.cti.is_some());
+                self.read += count;
+                return Ok((step.first, count as u32));
+            }
+            let next = self.events.slice + 1;
+            if next >= self.trace.slices().len() {
+                return Err(TraceError::TooShort {
+                    captured: self.trace.inst_count(),
+                    requested: self.read + 1,
+                });
+            }
+            self.events = SliceEvents::open(self.trace, next, self.events.num_insts)?;
+        }
+    }
 }
 
 /// Decode every slice of `trace` against `prog` and check that each
